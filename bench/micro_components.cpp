@@ -89,6 +89,26 @@ void bm_cg_solve(benchmark::State& state) {
 }
 BENCHMARK(bm_cg_solve)->Arg(1000)->Arg(4000);
 
+/// One CG operator apply of the hold-and-move solve, y = C x + diag(C) ⊙ x,
+/// on the assembled x-axis matrix (the sliced SpMV; GPF_SIMD picks the
+/// kernel tier).
+void bm_spmv_shifted(benchmark::State& state) {
+    const netlist nl = make_circuit(static_cast<std::size_t>(state.range(0)));
+    quadratic_system sys(nl);
+    sys.assemble(nl.centered_placement());
+    const sliced_matrix& a = sys.matrix_x();
+    std::vector<double> x(a.rows()), y;
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<double>(i % 97) - 48.0;
+    for (auto _ : state) {
+        a.multiply(x, y, &sys.diagonal_x());
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["nnz"] = static_cast<double>(a.nonzeros());
+    state.counters["stored"] = static_cast<double>(a.stored());
+}
+BENCHMARK(bm_spmv_shifted)->Arg(8000)->Arg(20000)->Unit(benchmark::kMicrosecond);
+
 void bm_placement_transformation(benchmark::State& state) {
     const netlist nl = make_circuit(static_cast<std::size_t>(state.range(0)));
     placer p(nl, {});

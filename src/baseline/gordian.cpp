@@ -25,28 +25,26 @@ placement solve_anchored(const quadratic_system& sys, const placement& start,
     const std::size_t n = sys.num_vars();
     GPF_CHECK(anchor.size() >= sys.num_movable());
 
-    const auto solve_dim = [&](const csr_matrix& a, const std::vector<double>& b,
+    // The anchors are a diagonal shift on the movable rows; star centers
+    // get a zero shift, which adds exactly nothing (a row sum is never −0).
+    std::vector<double> shift(n, 0.0);
+    std::fill(shift.begin(), shift.begin() + static_cast<std::ptrdiff_t>(sys.num_movable()),
+              anchor_weight);
+    const auto solve_dim = [&](const sliced_matrix& a, const std::vector<double>& b,
                                bool is_x) {
-        std::vector<double> diag = a.diagonal();
         std::vector<double> rhs(n);
         for (std::size_t v = 0; v < n; ++v) {
             double anchored = 0.0;
             if (v < sys.num_movable()) {
                 anchored = anchor_weight * (is_x ? anchor[v].x : anchor[v].y);
-                diag[v] += anchor_weight;
             }
             rhs[v] = -b[v] + anchored;
         }
-        const linear_operator apply = [&](const std::vector<double>& x,
-                                          std::vector<double>& y) {
-            a.multiply(x, y);
-            for (std::size_t v = 0; v < sys.num_movable(); ++v) y[v] += anchor_weight * x[v];
-        };
         std::vector<double> x(n, 0.0);
         for (std::size_t v = 0; v < sys.num_movable(); ++v) {
             x[v] = is_x ? start[sys.cell_of_var(v)].x : start[sys.cell_of_var(v)].y;
         }
-        cg_solve_operator(apply, diag, rhs, x, cg);
+        cg_solve(a, rhs, x, cg, nullptr, &shift);
         return x;
     };
 

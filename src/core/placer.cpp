@@ -29,6 +29,31 @@ namespace {
 /// Normalization floor of the best-so-far score terms.
 constexpr double kTiny = 1e-12;
 
+/// Why the transformation loop ended, recorded at the stop itself and
+/// printed by its closing log line.
+enum class loop_stop {
+    iteration_cap, ///< max_iterations transformations ran
+    spread,        ///< the paper's stopping criterion
+    plateau,       ///< overflow stopped improving
+    callback,      ///< the step callback asked to stop
+    interrupted,   ///< stop_flag (SIGINT/SIGTERM) — best-so-far
+    time_budget,   ///< wall-clock budget — best-so-far
+    degraded,      ///< recovery ladder exhausted — best-so-far
+};
+
+const char* loop_stop_text(loop_stop reason) {
+    switch (reason) {
+        case loop_stop::iteration_cap: return "iteration cap";
+        case loop_stop::spread: return "spread criterion met";
+        case loop_stop::plateau: return "overflow plateau";
+        case loop_stop::callback: return "stopped by step callback";
+        case loop_stop::interrupted: return "stop requested";
+        case loop_stop::time_budget: return "wall-clock budget";
+        case loop_stop::degraded: return "degraded stop";
+    }
+    return "?";
+}
+
 std::string fmt_value(double v) {
     std::ostringstream os;
     os << v;
@@ -130,25 +155,24 @@ std::pair<cg_result, cg_result> placer::wire_relax(placement& pl) {
     const std::vector<point> vp = system_.variable_positions(pl);
     const double beta = options_.wire_relax_weight;
 
-    const auto solve_dim = [&](const csr_matrix& a, const std::vector<double>& b,
+    // (C + β·diag(C)) p = −d + β·diag(C)·p_cur: the shift β·diag(C) rides
+    // along in the solver's sliced multiply.
+    const auto solve_dim = [&](const sliced_matrix& a, const std::vector<double>& b,
                                const std::vector<double>& diag, bool is_x,
-                               std::vector<double>& full_diag, std::vector<double>& rhs,
-                               std::vector<double>& x) {
+                               std::vector<double>& shift, std::vector<double>& full_diag,
+                               std::vector<double>& rhs, std::vector<double>& x) {
+        shift.resize(system_.num_vars());
         full_diag.resize(system_.num_vars());
         rhs.resize(system_.num_vars());
         x.resize(system_.num_vars());
         for (std::size_t v = 0; v < system_.num_vars(); ++v) {
             const double cur = is_x ? vp[v].x : vp[v].y;
+            shift[v] = beta * diag[v];
             full_diag[v] = diag[v] * (1.0 + beta);
-            rhs[v] = -b[v] + beta * diag[v] * cur;
+            rhs[v] = -b[v] + shift[v] * cur;
             x[v] = cur;
         }
-        const linear_operator apply = [&](const std::vector<double>& in,
-                                          std::vector<double>& out) {
-            a.multiply(in, out);
-            for (std::size_t v = 0; v < in.size(); ++v) out[v] += beta * diag[v] * in[v];
-        };
-        return cg_solve_operator(apply, full_diag, rhs, x, options_.cg);
+        return cg_solve(a, rhs, x, options_.cg, &full_diag, &shift);
     };
     // The move-target workspaces double as the solution vectors here (they
     // are dead between transformations); delta_x_/delta_y_ must stay
@@ -159,11 +183,11 @@ std::pair<cg_result, cg_result> placer::wire_relax(placement& pl) {
     parallel_invoke(
         [&] {
             res_x = solve_dim(system_.matrix_x(), system_.rhs_x(), system_.diagonal_x(),
-                              true, full_diag_x_, rhs_x_, move_x_);
+                              true, shift_x_, full_diag_x_, rhs_x_, move_x_);
         },
         [&] {
             res_y = solve_dim(system_.matrix_y(), system_.rhs_y(), system_.diagonal_y(),
-                              false, full_diag_y_, rhs_y_, move_y_);
+                              false, shift_y_, full_diag_y_, rhs_y_, move_y_);
         });
     for (std::size_t v = 0; v < system_.num_movable(); ++v) {
         pl[system_.cell_of_var(v)] = point(move_x_[v], move_y_[v]);
@@ -301,7 +325,7 @@ placement placer::transform(const placement& current) {
                 force_x_[v] = rhs_x_[v]; // exposed as this step's move force
                 force_y_[v] = rhs_y_[v];
             }
-            const auto solve_dim = [&](const csr_matrix& a,
+            const auto solve_dim = [&](const sliced_matrix& a,
                                        const std::vector<double>& diag,
                                        const std::vector<double>& rhs,
                                        std::vector<double>& full_diag,
@@ -310,13 +334,6 @@ placement placer::transform(const placement& current) {
                 for (std::size_t v = 0; v < system_.num_vars(); ++v) {
                     full_diag[v] = 2.0 * diag[v]; // C_vv + w̃_v with w̃ = C_vv
                 }
-                const linear_operator apply = [&](const std::vector<double>& x,
-                                                  std::vector<double>& y) {
-                    a.multiply(x, y);
-                    for (std::size_t v = 0; v < system_.num_vars(); ++v) {
-                        y[v] += diag[v] * x[v];
-                    }
-                };
                 // The previous transformation's displacement is a good
                 // guess for this one (the fields change slowly), but the
                 // CG trajectory then differs from a cold start, so warm
@@ -324,7 +341,8 @@ placement placer::transform(const placement& current) {
                 if (!options_.warm_start_cg || delta.size() != system_.num_vars()) {
                     delta.assign(system_.num_vars(), 0.0);
                 }
-                return cg_solve_operator(apply, full_diag, rhs, delta, options_.cg);
+                // W̃ = diag(C) is the shift of the solver's sliced multiply.
+                return cg_solve(a, rhs, delta, options_.cg, &full_diag, &diag);
             };
             parallel_invoke(
                 [&] {
@@ -891,6 +909,7 @@ placement placer::run_loop(run_state& st) {
     };
 
     bool stopped_best = false;
+    loop_stop stop = loop_stop::iteration_cap;
     for (std::size_t it = st.next_iteration; it < options_.max_iterations; ++it) {
         // Crash drill (util/fault.hpp): die exactly as a SIGKILL'd worker
         // would — no unwinding, no flushing — so the supervisor's
@@ -914,6 +933,7 @@ placement placer::run_loop(run_state& st) {
                                 std::to_string(history_.size()) +
                                 " transformations");
             stopped_best = true;
+            stop = loop_stop::interrupted;
             break;
         }
 
@@ -927,6 +947,7 @@ placement placer::run_loop(run_state& st) {
                                 std::to_string(history_.size()) +
                                 " transformations");
             stopped_best = true;
+            stop = loop_stop::time_budget;
             break;
         }
 
@@ -959,6 +980,7 @@ placement placer::run_loop(run_state& st) {
             // Rung 3: stop; the best-so-far placement is returned below.
             record_recovery(st, recovery_action::stop_best, reason);
             stopped_best = true;
+            stop = loop_stop::degraded;
             break;
         }
 
@@ -1003,8 +1025,14 @@ placement placer::run_loop(run_state& st) {
         if (it + 1 >= options_.min_iterations && stats.spread) {
             converged_ = true;
         }
-        if (step_callback_ && !step_callback_(stats, st.current)) break;
-        if (converged_) break;
+        if (step_callback_ && !step_callback_(stats, st.current)) {
+            stop = loop_stop::callback;
+            break;
+        }
+        if (converged_) {
+            stop = loop_stop::spread;
+            break;
+        }
 
         // Secondary stop: overflow plateau.
         if (options_.plateau_window > 0) {
@@ -1014,6 +1042,7 @@ placement placer::run_loop(run_state& st) {
             } else if (++st.stalled >= options_.plateau_window) {
                 log(log_level::info) << "placer stopped on overflow plateau after "
                                      << history_.size() << " transformations";
+                stop = loop_stop::plateau;
                 break;
             }
         }
@@ -1050,9 +1079,7 @@ placement placer::run_loop(run_state& st) {
     log(log_level::info) << "placer finished after " << history_.size()
                          << " transformations, hpwl="
                          << (history_.empty() ? 0.0 : history_.back().hpwl)
-                         << (converged_ ? " (spread criterion met)"
-                                        : stopped_best ? " (degraded stop)"
-                                                       : " (iteration cap)");
+                         << " (" << loop_stop_text(stop) << ")";
     return std::move(st.current);
 }
 

@@ -405,6 +405,7 @@ private:
     std::vector<double> move_x_, move_y_;     ///< move-target workspaces
     std::vector<double> rhs_x_, rhs_y_;       ///< hold-and-move rhs workspaces
     std::vector<double> full_diag_x_, full_diag_y_;
+    std::vector<double> shift_x_, shift_y_;   ///< wire-relax β·diag(C) workspaces
     std::vector<double> delta_x_, delta_y_;   ///< displacement (warm-start state)
 };
 

@@ -24,7 +24,7 @@
 #include "geometry/geometry.hpp"
 #include "legal/legalize.hpp"
 #include "linalg/cg_solver.hpp"
-#include "linalg/csr_matrix.hpp"
+#include "linalg/sliced_matrix.hpp"
 #include "linalg/fft.hpp"
 #include "model/net_models.hpp"
 #include "model/quadratic_system.hpp"

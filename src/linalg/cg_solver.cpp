@@ -1,12 +1,11 @@
 #include "linalg/cg_solver.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "util/check.hpp"
 #include "util/fault.hpp"
-#include "util/logging.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
@@ -18,9 +17,8 @@ namespace {
 // scheduling overhead only, never the arithmetic.
 constexpr std::size_t kVectorGrain = 4096;
 
-/// Armed-fault entry gate shared by both solver variants. Returns true
-/// when this solve must abort, with `result` describing the simulated
-/// failure: a stalled solve (no progress, full relative residual) or a
+/// Armed-fault entry gate of the solver. Returns true when this solve
+/// must abort, with `result` describing the simulated failure: a stalled solve (no progress, full relative residual) or a
 /// NaN residual with one poisoned solution entry — the two CG failure
 /// shapes the placer's recovery ladder must handle.
 bool inject_cg_fault(std::vector<double>& x, cg_result& result) {
@@ -41,41 +39,46 @@ bool inject_cg_fault(std::vector<double>& x, cg_result& result) {
     return false;
 }
 
-/// Once-per-process latch of the SSOR→Jacobi downgrade warning in
-/// cg_solve_operator; reset_cg_operator_ssor_warning() re-arms it.
-std::atomic<bool>& ssor_operator_warned() {
-    static std::atomic<bool> warned{false};
-    return warned;
+std::size_t slab_count(std::size_t n) {
+    return (n + deterministic_sum_slab - 1) / deterministic_sum_slab;
+}
+
+/// Serial merge of per-slab partial sums in slab order — the top of
+/// dot()'s fixed reduction tree (a single slab is its own sum).
+double merge_slabs(const double* partial, std::size_t slabs) {
+    if (slabs == 1) return partial[0];
+    double acc = 0.0;
+    for (std::size_t s = 0; s < slabs; ++s) acc += partial[s];
+    return acc;
+}
+
+/// a·b in deterministic_sum's fixed-slab shape with the SIMD 4-lane
+/// reduction inside each slab: slab boundaries and the serial slab merge
+/// depend only on n, and every ISA's dot kernel reduces in the same fixed
+/// lane order (util/simd.hpp) — bitwise reproducible across GPF_THREADS
+/// and GPF_SIMD alike. `partial` holds slab_count(n) caller-owned slots
+/// (unused, and may be null, for a single slab).
+double slab_dot(const double* a, const double* b, std::size_t n, double* partial) {
+    if (n == 0) return 0.0;
+    const simd_kernels& kern = simd();
+    const std::size_t slabs = slab_count(n);
+    if (slabs == 1) return kern.dot(a, b, n);
+    parallel_for(slabs, [&](std::size_t s) {
+        const std::size_t begin = s * deterministic_sum_slab;
+        const std::size_t end = std::min(n, begin + deterministic_sum_slab);
+        partial[s] = kern.dot(a + begin, b + begin, end - begin);
+    });
+    return merge_slabs(partial, slabs);
 }
 
 } // namespace
 
-void reset_cg_operator_ssor_warning() {
-    ssor_operator_warned().store(false, std::memory_order_relaxed);
-}
-
 double dot(const std::vector<double>& a, const std::vector<double>& b) {
     GPF_DCHECK(a.size() == b.size());
-    // deterministic_sum's fixed-slab shape with the SIMD 4-lane reduction
-    // inside each slab: slab boundaries and the serial slab merge depend
-    // only on n, and every ISA's dot kernel reduces in the same fixed lane
-    // order (util/simd.hpp) — bitwise reproducible across GPF_THREADS and
-    // GPF_SIMD alike.
-    const std::size_t n = a.size();
-    if (n == 0) return 0.0;
-    const simd_kernels& kern = simd();
-    const std::size_t slabs =
-        (n + deterministic_sum_slab - 1) / deterministic_sum_slab;
-    if (slabs == 1) return kern.dot(a.data(), b.data(), n);
-    std::vector<double> partial(slabs, 0.0);
-    parallel_for(slabs, [&](std::size_t s) {
-        const std::size_t begin = s * deterministic_sum_slab;
-        const std::size_t end = std::min(n, begin + deterministic_sum_slab);
-        partial[s] = kern.dot(a.data() + begin, b.data() + begin, end - begin);
-    });
-    double acc = 0.0;
-    for (const double p : partial) acc += p;
-    return acc;
+    const std::size_t slabs = slab_count(a.size());
+    if (slabs <= 1) return slab_dot(a.data(), b.data(), a.size(), nullptr);
+    std::vector<double> partial(slabs);
+    return slab_dot(a.data(), b.data(), a.size(), partial.data());
 }
 
 double norm2(const std::vector<double>& a) { return std::sqrt(dot(a, a)); }
@@ -95,11 +98,12 @@ void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y) {
 
 namespace {
 
-/// Applies M^{-1} r for the selected preconditioner.
+/// Applies M^{-1} r for the selected preconditioner of A + diag(shift).
 class preconditioner {
 public:
-    preconditioner(const csr_matrix& a, const cg_options& options,
-                   const std::vector<double>* cached_diagonal)
+    preconditioner(const sliced_matrix& a, const cg_options& options,
+                   const std::vector<double>* cached_diagonal,
+                   const std::vector<double>* shift)
         : a_(a), kind_(options.preconditioner), omega_(options.ssor_omega) {
         if (kind_ != preconditioner_kind::none) {
             if (cached_diagonal != nullptr) {
@@ -107,6 +111,9 @@ public:
                 diag_ = cached_diagonal->data();
             } else {
                 diag_own_ = a.diagonal();
+                if (shift != nullptr) {
+                    for (std::size_t i = 0; i < a.rows(); ++i) diag_own_[i] += (*shift)[i];
+                }
                 diag_ = diag_own_.data();
             }
             for (std::size_t i = 0; i < a.rows(); ++i) {
@@ -114,6 +121,11 @@ public:
                               "preconditioner requires positive diagonal");
             }
         }
+    }
+
+    /// The Jacobi divisor, or nullptr for the other kinds.
+    const double* jacobi_diagonal() const {
+        return kind_ == preconditioner_kind::jacobi ? diag_ : nullptr;
     }
 
     void apply(const std::vector<double>& r, std::vector<double>& z) const {
@@ -133,19 +145,19 @@ public:
 
 private:
     // z = (D/w + L)^{-T} D (D/w + L)^{-1} r, scaled; one forward and one
-    // backward Gauss-Seidel-like sweep.
+    // backward Gauss-Seidel-like sweep. D is the shifted diagonal; L and
+    // U are A's strict triangles (the shift has none).
     void apply_ssor(const std::vector<double>& r, std::vector<double>& z) const {
         const std::size_t n = r.size();
-        const auto& rp = a_.row_pointers();
-        const auto& ci = a_.column_indices();
-        const auto& v = a_.values();
 
         std::vector<double> y(n, 0.0);
         // forward sweep: (D/w + L) y = r
         for (std::size_t i = 0; i < n; ++i) {
             double acc = r[i];
-            for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
-                if (ci[k] < i) acc -= v[k] * y[ci[k]];
+            const sliced_matrix::row_view row = a_.row(i);
+            for (std::size_t k = 0; k < row.size; ++k) {
+                const std::size_t j = row.column(k);
+                if (j < i) acc -= row.value(k) * y[j];
             }
             y[i] = acc * omega_ / diag_[i];
         }
@@ -155,32 +167,62 @@ private:
         z.assign(n, 0.0);
         for (std::size_t ii = n; ii-- > 0;) {
             double acc = y[ii];
-            for (std::size_t k = rp[ii]; k < rp[ii + 1]; ++k) {
-                if (ci[k] > ii) acc -= v[k] * z[ci[k]];
+            const sliced_matrix::row_view row = a_.row(ii);
+            for (std::size_t k = 0; k < row.size; ++k) {
+                const std::size_t j = row.column(k);
+                if (j > ii) acc -= row.value(k) * z[j];
             }
             z[ii] = acc * omega_ / diag_[ii];
         }
     }
 
-    const csr_matrix& a_;
+    const sliced_matrix& a_;
     preconditioner_kind kind_;
     double omega_;
     const double* diag_ = nullptr;  ///< caller-cached or diag_own_
     std::vector<double> diag_own_;
 };
 
+/// The vector work of one CG step after the multiply, as one pass over
+/// dot()'s fixed slabs: per slab, the cg_update kernel does x += αp,
+/// r −= α·Ap, then — with a Jacobi divisor — z = r / diag and the slab's
+/// r·z, and always the slab's r·r. cg_update is bitwise the separate
+/// axpy / divide / dot kernels, so merging the partials with merge_slabs
+/// gives bit for bit dot(r, z) and dot(r, r) of the separate passes.
+void fused_update(double alpha, const std::vector<double>& p,
+                  const std::vector<double>& ap, const double* jacobi,
+                  std::vector<double>& x, std::vector<double>& r,
+                  std::vector<double>& z, double* part_rz, double* part_rr) {
+    const std::size_t n = x.size();
+    const simd_kernels& kern = simd();
+    parallel_for(slab_count(n), [&](std::size_t s) {
+        const std::size_t begin = s * deterministic_sum_slab;
+        const std::size_t len = std::min(n, begin + deterministic_sum_slab) - begin;
+        kern.cg_update(alpha, p.data() + begin, ap.data() + begin,
+                       jacobi == nullptr ? nullptr : jacobi + begin, x.data() + begin,
+                       r.data() + begin, z.data() + begin, len, part_rz + s,
+                       part_rr + s);
+    });
+}
+
 } // namespace
 
-cg_result cg_solve(const csr_matrix& a, const std::vector<double>& b,
+cg_result cg_solve(const sliced_matrix& a, const std::vector<double>& b,
                    std::vector<double>& x, const cg_options& options,
-                   const std::vector<double>* diagonal) {
+                   const std::vector<double>* diagonal,
+                   const std::vector<double>* shift) {
     const std::size_t n = a.rows();
     GPF_CHECK(b.size() == n);
+    GPF_CHECK(shift == nullptr || shift->size() == n);
     if (x.size() != n) x.assign(n, 0.0);
 
     cg_result result;
     if (inject_cg_fault(x, result)) return result;
-    const double bnorm = norm2(b);
+    const std::size_t slabs = slab_count(n);
+    std::vector<double> partial(2 * slabs);
+    double* part_rz = partial.data();
+    double* part_rr = part_rz + slabs;
+    const double bnorm = std::sqrt(slab_dot(b.data(), b.data(), n, part_rr));
     if (bnorm == 0.0) {
         x.assign(n, 0.0);
         result.converged = true;
@@ -189,32 +231,39 @@ cg_result cg_solve(const csr_matrix& a, const std::vector<double>& b,
 
     const std::size_t max_iter =
         options.max_iterations > 0 ? options.max_iterations : 10 * n + 100;
-    preconditioner precond(a, options, diagonal);
+    preconditioner precond(a, options, diagonal, shift);
+    const double* jacobi = precond.jacobi_diagonal();
 
     std::vector<double> r(n), z(n), p(n), ap(n);
-    a.multiply(x, ap);
+    a.multiply(x, ap, shift);
     for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
 
     precond.apply(r, z);
     p = z;
-    double rz = dot(r, z);
+    double rz = slab_dot(r.data(), z.data(), n, part_rz);
+    double rr = slab_dot(r.data(), r.data(), n, part_rr);
 
     for (std::size_t it = 0; it < max_iter; ++it) {
-        result.residual = norm2(r) / bnorm;
+        result.residual = std::sqrt(rr) / bnorm;
         if (!std::isfinite(result.residual)) break; // contaminated: iterating cannot recover
         if (result.residual <= options.tolerance) {
             result.converged = true;
             result.iterations = it;
             return result;
         }
-        a.multiply(p, ap);
-        const double pap = dot(p, ap);
+        a.multiply(p, ap, shift);
+        const double pap = slab_dot(p.data(), ap.data(), n, part_rz);
         if (!(pap > 0.0)) break; // matrix not SPD along p (or NaN); bail out
         const double alpha = rz / pap;
-        axpy(alpha, p, x);
-        axpy(-alpha, ap, r);
-        precond.apply(r, z);
-        const double rz_new = dot(r, z);
+        fused_update(alpha, p, ap, jacobi, x, r, z, part_rz, part_rr);
+        rr = merge_slabs(part_rr, slabs);
+        double rz_new;
+        if (jacobi != nullptr) {
+            rz_new = merge_slabs(part_rz, slabs);
+        } else {
+            precond.apply(r, z);
+            rz_new = slab_dot(r.data(), z.data(), n, part_rz);
+        }
         const double beta = rz_new / rz;
         rz = rz_new;
         parallel_for_chunks(
@@ -225,91 +274,7 @@ cg_result cg_solve(const csr_matrix& a, const std::vector<double>& b,
             kVectorGrain);
         result.iterations = it + 1;
     }
-    result.residual = norm2(r) / bnorm;
-    result.converged = result.residual <= options.tolerance;
-    return result;
-}
-
-cg_result cg_solve_operator(const linear_operator& apply,
-                            const std::vector<double>& diagonal,
-                            const std::vector<double>& b, std::vector<double>& x,
-                            const cg_options& options) {
-    const std::size_t n = b.size();
-    GPF_CHECK(diagonal.size() == n);
-    if (x.size() != n) x.assign(n, 0.0);
-
-    cg_result result;
-    if (inject_cg_fault(x, result)) return result;
-    // SSOR needs A's triangular parts; behind an opaque operator only the
-    // diagonal is known, so the solve runs with Jacobi instead. Warn once
-    // per process rather than downgrade silently.
-    if (options.preconditioner == preconditioner_kind::ssor) {
-        if (!ssor_operator_warned().exchange(true, std::memory_order_relaxed)) {
-            log(log_level::warning)
-                << "cg_solve_operator: ssor preconditioning is unavailable for "
-                   "matrix-free solves; using jacobi (this is logged once)";
-        }
-    }
-    const double bnorm = norm2(b);
-    if (bnorm == 0.0) {
-        x.assign(n, 0.0);
-        result.converged = true;
-        return result;
-    }
-
-    const bool precondition = options.preconditioner != preconditioner_kind::none;
-    if (precondition) {
-        for (const double d : diagonal) {
-            GPF_CHECK_MSG(d > 0.0, "jacobi preconditioner requires positive diagonal");
-        }
-    }
-    const std::size_t max_iter =
-        options.max_iterations > 0 ? options.max_iterations : 10 * n + 100;
-
-    std::vector<double> r(n), z(n), p(n), ap(n);
-    apply(x, ap);
-    for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
-
-    const auto precond = [&](const std::vector<double>& rin, std::vector<double>& zout) {
-        if (!precondition) {
-            zout = rin;
-            return;
-        }
-        zout.resize(n);
-        for (std::size_t i = 0; i < n; ++i) zout[i] = rin[i] / diagonal[i];
-    };
-
-    precond(r, z);
-    p = z;
-    double rz = dot(r, z);
-
-    for (std::size_t it = 0; it < max_iter; ++it) {
-        result.residual = norm2(r) / bnorm;
-        if (!std::isfinite(result.residual)) break; // contaminated: iterating cannot recover
-        if (result.residual <= options.tolerance) {
-            result.converged = true;
-            result.iterations = it;
-            return result;
-        }
-        apply(p, ap);
-        const double pap = dot(p, ap);
-        if (!(pap > 0.0)) break; // not SPD along p (or NaN); bail out
-        const double alpha = rz / pap;
-        axpy(alpha, p, x);
-        axpy(-alpha, ap, r);
-        precond(r, z);
-        const double rz_new = dot(r, z);
-        const double beta = rz_new / rz;
-        rz = rz_new;
-        parallel_for_chunks(
-            n,
-            [&](std::size_t begin, std::size_t end) {
-                simd().xpby(z.data() + begin, beta, p.data() + begin, end - begin);
-            },
-            kVectorGrain);
-        result.iterations = it + 1;
-    }
-    result.residual = norm2(r) / bnorm;
+    result.residual = std::sqrt(rr) / bnorm;
     result.converged = result.residual <= options.tolerance;
     return result;
 }

@@ -5,10 +5,9 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
-#include "linalg/csr_matrix.hpp"
+#include "linalg/sliced_matrix.hpp"
 
 namespace gpf {
 
@@ -31,34 +30,24 @@ struct cg_result {
     double residual = 0.0; ///< final relative residual
 };
 
-/// Solve A x = b. x is the explicit starting guess x0 — warm-started
-/// solves pass the previous solution (or displacement) here — and holds
-/// the solution on return. A must be symmetric positive (semi-)definite
-/// with nonzero diagonal for the jacobi/ssor preconditioners.
+/// Solve (A + diag(shift)) x = b; a null `shift` solves A x = b. x is the
+/// explicit starting guess x0 — warm-started solves pass the previous
+/// solution (or displacement) here — and holds the solution on return.
+/// The shifted matrix must be symmetric positive (semi-)definite, with a
+/// positive diagonal for the jacobi/ssor preconditioners.
 ///
-/// `diagonal`, when given, must be the main diagonal of A; it spares the
-/// preconditioner an allocating a.diagonal() per solve (the placer passes
-/// the diagonal cached by quadratic_system::assemble).
-cg_result cg_solve(const csr_matrix& a, const std::vector<double>& b,
+/// The shift is how the placer's anchored systems (hold-and-move, wire
+/// relaxation, the GORDIAN baseline's region anchors) reach the solver:
+/// every CG iteration applies A + diag(shift) in one sliced multiply.
+///
+/// `diagonal`, when given, must be the main diagonal of A + diag(shift);
+/// it spares the preconditioner an allocating a.diagonal() per solve (the
+/// placer passes diagonals derived from the ones cached by
+/// quadratic_system::assemble).
+cg_result cg_solve(const sliced_matrix& a, const std::vector<double>& b,
                    std::vector<double>& x, const cg_options& options = {},
-                   const std::vector<double>* diagonal = nullptr);
-
-/// Matrix-free variant: `apply` computes y = A x; `diagonal` is used for
-/// Jacobi preconditioning. SSOR needs the triangular structure of A and
-/// cannot exist behind an opaque operator: requesting it here downgrades
-/// to Jacobi and logs a one-time warning, so anchored solves (hold-and-
-/// move, wire relaxation) never lose the configured preconditioner
-/// silently. Used for modified systems like A + diag(anchor weights).
-using linear_operator = std::function<void(const std::vector<double>&, std::vector<double>&)>;
-cg_result cg_solve_operator(const linear_operator& apply,
-                            const std::vector<double>& diagonal,
-                            const std::vector<double>& b, std::vector<double>& x,
-                            const cg_options& options = {});
-
-/// Test support: re-arm the once-per-process SSOR→Jacobi downgrade
-/// warning of cg_solve_operator, so a regression test can pin the
-/// exactly-once contract regardless of what ran earlier in the process.
-void reset_cg_operator_ssor_warning();
+                   const std::vector<double>* diagonal = nullptr,
+                   const std::vector<double>* shift = nullptr);
 
 // --- small dense-free vector helpers shared by solver clients -------------
 

@@ -144,7 +144,7 @@ void quadratic_system::build_symbolic() {
     // The sparsity pattern is fixed by the edge topology: every edge
     // touches its endpoint diagonals and, when both endpoints are movable,
     // the symmetric off-diagonal pair. Collect the distinct (i, j)
-    // positions once, freeze them as the shared x/y CSR pattern, and
+    // positions once, freeze them as the shared x/y sparsity pattern, and
     // record the value slot of every edge contribution so the numeric
     // refill is a flat accumulation loop.
     GPF_CHECK_MSG(num_vars_ < (std::size_t{1} << 32),
@@ -175,13 +175,25 @@ void quadratic_system::build_symbolic() {
     for (std::size_t i = 1; i <= num_vars_; ++i) {
         row_ptr[i] = std::max(row_ptr[i], row_ptr[i - 1]);
     }
+    std::vector<std::uint64_t>().swap(positions);
 
-    ax_ = csr_matrix(row_ptr, col_idx, std::vector<double>(col_idx.size(), 0.0));
-    ay_ = csr_matrix(std::move(row_ptr), std::move(col_idx),
-                     std::vector<double>(ax_.nonzeros(), 0.0));
+    // The CSR arrays above are only the hand-over format: the sliced
+    // layout is the one copy that stays resident, its pattern shared by
+    // the two axis matrices.
+    ax_ = sliced_matrix(row_ptr, col_idx, std::vector<double>(col_idx.size(), 0.0));
+    ay_ = ax_;
 
+    // Slots are looked up in the contiguous CSR rows and then placed in
+    // the sliced layout, whose rows are strided across cache lines.
+    const auto slot = [&](std::size_t i, std::size_t j) {
+        const auto begin = col_idx.begin() + static_cast<std::ptrdiff_t>(row_ptr[i]);
+        const auto end = col_idx.begin() + static_cast<std::ptrdiff_t>(row_ptr[i + 1]);
+        const auto it = std::lower_bound(begin, end, j);
+        GPF_CHECK(it != end && *it == j);
+        return ax_.entry_slot(i, static_cast<std::size_t>(it - begin));
+    };
     diag_slot_.resize(num_vars_);
-    for (std::size_t v = 0; v < num_vars_; ++v) diag_slot_[v] = ax_.slot(v, v);
+    for (std::size_t v = 0; v < num_vars_; ++v) diag_slot_[v] = slot(v, v);
 
     edge_slots_.resize(edges_.size());
     for (std::size_t k = 0; k < edges_.size(); ++k) {
@@ -190,12 +202,12 @@ void quadratic_system::build_symbolic() {
         if (e.var_a != invalid_var && e.var_b != invalid_var) {
             s.aa = diag_slot_[e.var_a];
             s.bb = diag_slot_[e.var_b];
-            s.ab = ax_.slot(e.var_a, e.var_b);
-            s.ba = ax_.slot(e.var_b, e.var_a);
+            s.ab = slot(e.var_a, e.var_b);
+            s.ba = slot(e.var_b, e.var_a);
         } else {
             const std::size_t v = e.var_a != invalid_var ? e.var_a : e.var_b;
             s.aa = diag_slot_[v];
-            s.bb = s.ab = s.ba = csr_matrix::npos;
+            s.bb = s.ab = s.ba = sliced_matrix::npos;
         }
     }
 }

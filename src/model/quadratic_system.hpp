@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "linalg/cg_solver.hpp"
-#include "linalg/csr_matrix.hpp"
+#include "linalg/sliced_matrix.hpp"
 #include "model/net_models.hpp"
 #include "netlist/netlist.hpp"
 
@@ -44,7 +44,7 @@ public:
     /// Build A and b from the current placement (needed for linearization
     /// weights; ignored when options.linearize is false).
     ///
-    /// Assembly is split into a one-time *symbolic* phase — the CSR
+    /// Assembly is split into a one-time *symbolic* phase — the sliced
     /// sparsity pattern and the slot index of every edge contribution,
     /// fixed by the netlist topology and computed in the constructor — and
     /// a per-call *numeric* refill that accumulates the (live) linearized
@@ -54,8 +54,8 @@ public:
     void assemble(const placement& current);
 
     bool assembled() const { return assembled_; }
-    const csr_matrix& matrix_x() const { return ax_; }
-    const csr_matrix& matrix_y() const { return ay_; }
+    const sliced_matrix& matrix_x() const { return ax_; }
+    const sliced_matrix& matrix_y() const { return ay_; }
     const std::vector<double>& rhs_x() const { return bx_; }
     const std::vector<double>& rhs_y() const { return by_; }
 
@@ -122,7 +122,7 @@ private:
     /// position would be decided by solver round-off.
     std::vector<char> floating_;
 
-    /// Symbolic cache: slots into the (shared x/y) CSR pattern. For a
+    /// Symbolic cache: slots into the (shared x/y) sliced pattern. For a
     /// two-movable edge all four of {aa, bb, ab, ba} are valid; for a
     /// single-movable edge only aa (the movable endpoint's diagonal).
     struct edge_slots {
@@ -131,7 +131,7 @@ private:
     std::vector<edge_slots> edge_slots_; ///< parallel to edges_
     std::vector<std::size_t> diag_slot_; ///< per variable, slot of (v, v)
 
-    csr_matrix ax_, ay_;
+    sliced_matrix ax_, ay_; ///< one pattern, shared; values per axis
     std::vector<double> bx_, by_;
     std::vector<double> diag_x_, diag_y_; ///< cached by assemble()
     std::vector<point> var_pos_;          ///< assemble() workspace

@@ -141,11 +141,16 @@ std::string profiler::summary() const {
     for (std::size_t i = 0; i < num_profile_kernels; ++i) {
         const kernel_totals& k = kernels_[i];
         if (k.calls == 0) continue;
-        const double gfs = k.seconds > 0.0 ? k.flops / k.seconds * 1e-9 : 0.0;
-        std::snprintf(line, sizeof line,
-                      "  kernel %-8s %10.3f ms  %6.2f GFLOP/s  (%zu calls)\n",
-                      profile_kernel_name(static_cast<profile_kernel>(i)),
-                      k.seconds * 1e3, gfs, k.calls);
+        const char* name = profile_kernel_name(static_cast<profile_kernel>(i));
+        if (k.flops > 0.0) {
+            const double gfs = k.seconds > 0.0 ? k.flops / k.seconds * 1e-9 : 0.0;
+            std::snprintf(line, sizeof line,
+                          "  kernel %-8s %10.3f ms  %6.2f GFLOP/s  (%zu calls)\n", name,
+                          k.seconds * 1e3, gfs, k.calls);
+        } else { // no flop count (e.g. stamp): no throughput column
+            std::snprintf(line, sizeof line, "  kernel %-8s %10.3f ms  (%zu calls)\n",
+                          name, k.seconds * 1e3, k.calls);
+        }
         os << line;
     }
     os << "  cg iterations: x=" << cg_x_total_ << " y=" << cg_y_total_ << "\n";

@@ -5,6 +5,7 @@
 // contraction is the default.
 #include "util/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -54,6 +55,19 @@ double dot_scalar(const double* a, const double* b, std::size_t n) {
     return acc;
 }
 
+// The fused CG update is, by definition, the separate kernels in order.
+void cg_update_scalar(double alpha, const double* p, const double* ap,
+                      const double* d, double* x, double* r, double* z,
+                      std::size_t n, double* rz, double* rr) {
+    axpy_scalar(alpha, p, x, n);
+    axpy_scalar(-alpha, ap, r, n);
+    if (d != nullptr) {
+        for (std::size_t i = 0; i < n; ++i) z[i] = r[i] / d[i];
+        *rz = dot_scalar(r, z, n);
+    }
+    *rr = dot_scalar(r, r, n);
+}
+
 double dot_gather_scalar(const double* v, const std::size_t* idx,
                          const double* x, std::size_t n) {
     double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
@@ -68,6 +82,37 @@ double dot_gather_scalar(const double* v, const std::size_t* idx,
     double acc = (l0 + l2) + (l1 + l3);
     for (; i < n; ++i) acc += v[i] * x[idx[i]];
     return acc;
+}
+
+// dot_gather_scalar over each row's entries, which sit simd_slice_rows
+// slots apart, then the shift.
+void spmv_sliced_scalar(const sliced_view& m, const double* x,
+                        const double* shift, double* y, std::size_t begin,
+                        std::size_t end) {
+    constexpr std::size_t w = simd_slice_rows;
+    for (std::size_t s = begin; s < end; ++s) {
+        const std::size_t first = s * w;
+        const std::size_t count = std::min(w, m.rows - first);
+        for (std::size_t q = 0; q < count; ++q) {
+            const double* v = m.values + m.slice_ptr[s] + q;
+            const std::uint32_t* c = m.cols + m.slice_ptr[s] + q;
+            const std::size_t n = m.row_len[first + q];
+            double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+            const std::size_t aligned = n & ~std::size_t{3};
+            std::size_t k = 0;
+            for (; k < aligned; k += 4) {
+                l0 += v[k * w] * x[c[k * w]];
+                l1 += v[(k + 1) * w] * x[c[(k + 1) * w]];
+                l2 += v[(k + 2) * w] * x[c[(k + 2) * w]];
+                l3 += v[(k + 3) * w] * x[c[(k + 3) * w]];
+            }
+            double acc = (l0 + l2) + (l1 + l3);
+            for (; k < n; ++k) acc += v[k * w] * x[c[k * w]];
+            const std::size_t i = m.row_of[first + q];
+            if (shift != nullptr) acc += shift[i] * x[i];
+            y[i] = acc;
+        }
+    }
 }
 
 // Complex multiply written in explicit real arithmetic — matches the
@@ -185,7 +230,8 @@ constexpr simd_kernels scalar_table = {
     detail::add_scalar_scalar,
     detail::scale_scalar,
     detail::dot_scalar,
-    detail::dot_gather_scalar,
+    detail::cg_update_scalar,
+    detail::spmv_sliced_scalar,
     detail::cmul_scalar,
     detail::cmul_pair_scalar,
     detail::fft_radix2_scalar,

@@ -1,6 +1,6 @@
 // Runtime-dispatched SIMD kernels for the flat inner loops of the
 // placement hot path: FFT butterflies, the spectral pointwise product,
-// CG axpy/dot/SpMV row products, and the bulk density-grid accumulation.
+// CG axpy/dot, the sliced SpMV, and the bulk density-grid accumulation.
 //
 // Dispatch model: one kernel table per instruction set (scalar always;
 // AVX2/AVX-512 when the translation units were compiled for x86 and the
@@ -21,14 +21,16 @@
 //     IEEE multiplies and adds. FMA contraction is disabled in every
 //     kernel translation unit (-ffp-contract=off and no -mfma), because
 //     a fused multiply-add rounds once where mul+add rounds twice.
-//   * Reductions (dot, dot_gather) are defined over simd_reduce_lanes
-//     fixed logical lanes: lane l accumulates elements i ≡ l (mod 4)
-//     over the 4-aligned prefix, lanes merge as (l0+l2)+(l1+l3), and the
-//     tail is added serially — the same slab-and-fixed-merge discipline
-//     as deterministic_sum (util/thread_pool.hpp). A 2-lane ISA (NEON)
-//     emulates the 4-lane shape with two vector accumulators; the scalar
-//     path runs four named accumulators. Identical trees, identical
-//     bits.
+//   * Reductions (dot, and every row of spmv_sliced) are defined over
+//     simd_reduce_lanes fixed logical lanes: lane l accumulates elements
+//     i ≡ l (mod 4) over the 4-aligned prefix, lanes merge as
+//     (l0+l2)+(l1+l3), and the tail is added serially — the same
+//     slab-and-fixed-merge discipline as deterministic_sum
+//     (util/thread_pool.hpp). A 2-lane ISA (NEON) emulates the 4-lane
+//     shape with two vector accumulators; the scalar path runs four named
+//     accumulators; spmv_sliced runs one row per vector lane with four
+//     accumulator registers, one per logical lane. Identical trees,
+//     identical bits.
 //
 // Thread-safety: the active-table pointer is a single atomic. Resolution
 // happens once; simd_set_isa() (tests, tools) must not race a parallel
@@ -38,6 +40,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 
 namespace gpf {
 
@@ -50,6 +53,24 @@ enum class simd_isa {
 
 /// Logical lane count of every reduction kernel, identical on all ISAs.
 inline constexpr std::size_t simd_reduce_lanes = 4;
+
+/// Rows per slice of the sliced matrix layout spmv_sliced walks.
+inline constexpr std::size_t simd_slice_rows = 8;
+
+/// Read-only view of a sliced_matrix (linalg/sliced_matrix.hpp) for the
+/// spmv_sliced kernel. Slice s holds the slice rows 8s..8s+7
+/// (simd_slice_rows = 8), whose lengths row_len[8s..8s+7] descend; entry
+/// j of slice row 8s+q sits at slot slice_ptr[s] + 8j + q, and row_of
+/// maps a slice row to its matrix row. Slice rows at or beyond `rows` (padding of the last slice) have
+/// length 0 and row_of 0.
+struct sliced_view {
+    const double* values;
+    const std::uint32_t* cols;
+    const std::size_t* slice_ptr;
+    const std::uint32_t* row_len;
+    const std::uint32_t* row_of;
+    std::size_t rows;
+};
 
 /// Flat kernel table. All pointers are non-null in every table.
 struct simd_kernels {
@@ -68,9 +89,20 @@ struct simd_kernels {
     void (*scale)(double* p, double s, std::size_t n);
     /// sum_i a[i] * b[i], fixed 4-lane reduction (see header comment)
     double (*dot)(const double* a, const double* b, std::size_t n);
-    /// sum_k v[k] * x[idx[k]], fixed 4-lane reduction (CSR row product)
-    double (*dot_gather)(const double* v, const std::size_t* idx,
-                         const double* x, std::size_t n);
+    /// Fused CG step update over one slab of n elements: x += alpha·p,
+    /// r += (−alpha)·ap, then — when d is non-null — z = r / d and *rz =
+    /// r·z, and always *rr = r·r. Every element and both sums are bitwise
+    /// what axpy, axpy, the division loop, dot and dot give one by one.
+    void (*cg_update)(double alpha, const double* p, const double* ap,
+                      const double* d, double* x, double* r, double* z,
+                      std::size_t n, double* rz, double* rr);
+    /// Sliced shifted SpMV over slices [begin, end): for every matrix row
+    /// i there, y[i] = Σ_k v_k·x[col_k] in the fixed 4-lane shape over the
+    /// row's stored entries in column order, then + shift[i]·x[i] when
+    /// shift is non-null. Padded slots are never read into a sum.
+    void (*spmv_sliced)(const sliced_view& m, const double* x,
+                        const double* shift, double* y, std::size_t begin,
+                        std::size_t end);
     /// w[i] *= s[i] (complex pointwise product of the spectral convolver)
     void (*cmul)(std::complex<double>* w, const std::complex<double>* s,
                  std::size_t n);

@@ -33,8 +33,16 @@ void accumulate_scalar(const double* src, double* dst, std::size_t n);
 void add_scalar_scalar(double* dst, double c, std::size_t n);
 void scale_scalar(double* p, double s, std::size_t n);
 double dot_scalar(const double* a, const double* b, std::size_t n);
+void cg_update_scalar(double alpha, const double* p, const double* ap,
+                      const double* d, double* x, double* r, double* z,
+                      std::size_t n, double* rz, double* rr);
+/// sum_k v[k] * x[idx[k]] in the fixed 4-lane shape: the per-row
+/// reduction every spmv_sliced tier reproduces (the tests' reference).
 double dot_gather_scalar(const double* v, const std::size_t* idx,
                          const double* x, std::size_t n);
+void spmv_sliced_scalar(const sliced_view& m, const double* x,
+                        const double* shift, double* y, std::size_t begin,
+                        std::size_t end);
 void cmul_scalar(std::complex<double>* w, const std::complex<double>* s,
                  std::size_t n);
 void cmul_pair_scalar(std::complex<double>* w, std::complex<double>* q,

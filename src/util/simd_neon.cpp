@@ -8,8 +8,8 @@
 // accumulators (lanes {0,1} and {2,3}); the merge below folds them as
 // (l0+l2)+(l1+l3), matching scalar and AVX2 bit for bit. Sign flips are
 // applied by XOR on the sign bit — exact — so a + (−b) is bitwise a − b.
-// dot_gather reuses the scalar reference: CSR rows are short and a NEON
-// gather would be synthesized from scalar loads anyway.
+// spmv_sliced reuses the scalar reference: NEON has no gather, so a
+// vector form would be synthesized from scalar loads anyway.
 #include "util/simd_internal.hpp"
 
 #if defined(__aarch64__) && defined(__ARM_NEON) && !defined(GPF_DISABLE_SIMD)
@@ -184,6 +184,19 @@ void fft_radix4_neon(std::complex<double>* a, std::size_t n, std::size_t block,
     }
 }
 
+// The separate NEON kernels in order (cg_update_scalar's definition).
+void cg_update_neon(double alpha, const double* p, const double* ap, const double* d,
+                    double* x, double* r, double* z, std::size_t n, double* rz,
+                    double* rr) {
+    axpy_neon(alpha, p, x, n);
+    axpy_neon(-alpha, ap, r, n);
+    if (d != nullptr) {
+        for (std::size_t i = 0; i < n; ++i) z[i] = r[i] / d[i];
+        *rz = dot_neon(r, z, n);
+    }
+    *rr = dot_neon(r, r, n);
+}
+
 constexpr simd_kernels neon_table = {
     simd_isa::neon,
     "neon",
@@ -193,7 +206,8 @@ constexpr simd_kernels neon_table = {
     add_scalar_neon,
     scale_neon,
     dot_neon,
-    dot_gather_scalar, // scalar reference (see header comment)
+    cg_update_neon,
+    spmv_sliced_scalar, // scalar reference (see header comment)
     cmul_neon,
     cmul_pair_neon,
     fft_radix2_neon,

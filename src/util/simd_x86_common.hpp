@@ -5,7 +5,7 @@
 // (the linker never merges copies across the TUs).
 //
 // Two kinds of kernels live here:
-//   * the fixed-shape reductions (dot, dot_gather): these must stay
+//   * the fixed-shape reductions (dot, cg_update): these must stay
 //     4-lane / 256-bit on EVERY x86 tier — widening the accumulator to 8
 //     lanes would change the reduction tree and hence the rounding — so
 //     the AVX-512 table points at the exact same bodies;
@@ -80,18 +80,54 @@ static inline double dot_x86(const double* a, const double* b, std::size_t n) {
     return sum;
 }
 
-static inline double dot_gather_x86(const double* v, const std::size_t* idx,
-                                    const double* x, std::size_t n) {
-    __m256d acc = _mm256_setzero_pd();
+/// cg_update on 256-bit registers: the axpy pair, the division and both
+/// dot products in one loop, with dot_x86's accumulator shape for each
+/// sum (two independent chains, so their add latencies overlap).
+template <bool Jacobi>
+static inline void cg_update_x86_impl(double alpha, const double* p, const double* ap,
+                                      const double* d, double* x, double* r, double* z,
+                                      std::size_t n, double* rz, double* rr) {
+    const __m256d va = _mm256_set1_pd(alpha);
+    const __m256d vna = _mm256_set1_pd(-alpha);
+    __m256d acc_rz = _mm256_setzero_pd();
+    __m256d acc_rr = _mm256_setzero_pd();
     const std::size_t m = n & ~std::size_t{3};
     for (std::size_t i = 0; i < m; i += 4) {
-        const __m256i vi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-        const __m256d vx = _mm256_i64gather_pd(x, vi, 8);
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_loadu_pd(v + i), vx));
+        _mm256_storeu_pd(x + i, _mm256_add_pd(_mm256_loadu_pd(x + i),
+                                              _mm256_mul_pd(va, _mm256_loadu_pd(p + i))));
+        const __m256d rv = _mm256_add_pd(_mm256_loadu_pd(r + i),
+                                         _mm256_mul_pd(vna, _mm256_loadu_pd(ap + i)));
+        _mm256_storeu_pd(r + i, rv);
+        if constexpr (Jacobi) {
+            const __m256d zv = _mm256_div_pd(rv, _mm256_loadu_pd(d + i));
+            _mm256_storeu_pd(z + i, zv);
+            acc_rz = _mm256_add_pd(acc_rz, _mm256_mul_pd(rv, zv));
+        }
+        acc_rr = _mm256_add_pd(acc_rr, _mm256_mul_pd(rv, rv));
     }
-    double sum = reduce_lanes(acc);
-    for (std::size_t i = m; i < n; ++i) sum += v[i] * x[idx[i]];
-    return sum;
+    double sum_rz = reduce_lanes(acc_rz);
+    double sum_rr = reduce_lanes(acc_rr);
+    for (std::size_t i = m; i < n; ++i) {
+        x[i] += alpha * p[i];
+        r[i] += -alpha * ap[i];
+        if constexpr (Jacobi) {
+            z[i] = r[i] / d[i];
+            sum_rz += r[i] * z[i];
+        }
+        sum_rr += r[i] * r[i];
+    }
+    if constexpr (Jacobi) *rz = sum_rz;
+    *rr = sum_rr;
+}
+
+static inline void cg_update_x86(double alpha, const double* p, const double* ap,
+                                 const double* d, double* x, double* r, double* z,
+                                 std::size_t n, double* rz, double* rr) {
+    if (d != nullptr) {
+        cg_update_x86_impl<true>(alpha, p, ap, d, x, r, z, n, rz, rr);
+    } else {
+        cg_update_x86_impl<false>(alpha, p, ap, d, x, r, z, n, rz, rr);
+    }
 }
 
 // --- 256-bit FFT butterfly passes -----------------------------------------

@@ -9,6 +9,8 @@
 
 #include <complex>
 
+#include <unistd.h>
+
 #include "cluster/coarsen.hpp"
 #include "core/metrics.hpp"
 #include "core/placer.hpp"
@@ -583,9 +585,11 @@ verify_report check_checkpoint_resume_equivalence(std::uint64_t seed,
     // loop at a seed-varied point (the in-process stand-in for a SIGKILL
     // there — the checkpoint file is all a restarted process would have).
     const std::size_t kill_at = 1 + rng.next_below(total);
+    // Process-unique: concurrent test processes must not share the file.
     const std::string ckpt =
         (std::filesystem::temp_directory_path() /
-         ("gpf_resume_property_" + std::to_string(seed) + ".ckpt"))
+         ("gpf_resume_property_" + std::to_string(::getpid()) + "_" +
+          std::to_string(seed) + ".ckpt"))
             .string();
     struct cleanup_guard {
         std::string path;

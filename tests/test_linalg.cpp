@@ -3,15 +3,14 @@
 #include <cmath>
 
 #include "linalg/cg_solver.hpp"
-#include "linalg/csr_matrix.hpp"
+#include "linalg/sliced_matrix.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 #include "util/prng.hpp"
 
 namespace gpf {
 namespace {
 
-csr_matrix make_tridiagonal(std::size_t n, double diag, double off) {
+sliced_matrix make_tridiagonal(std::size_t n, double diag, double off) {
     coo_builder b(n);
     for (std::size_t i = 0; i < n; ++i) {
         b.add_diagonal(i, diag);
@@ -28,7 +27,7 @@ TEST(CsrMatrix, BuildsAndMerges) {
     b.add(2, 0, -1.0);
     b.add(1, 1, 5.0);
     b.add(2, 2, 4.0);
-    const csr_matrix m = b.build();
+    const sliced_matrix m = b.build();
     EXPECT_EQ(m.rows(), 3u);
     EXPECT_EQ(m.nonzeros(), 5u);
     EXPECT_DOUBLE_EQ(m.at(0, 0), 3.0);
@@ -38,7 +37,7 @@ TEST(CsrMatrix, BuildsAndMerges) {
 }
 
 TEST(CsrMatrix, Multiply) {
-    const csr_matrix m = make_tridiagonal(4, 2.0, -1.0);
+    const sliced_matrix m = make_tridiagonal(4, 2.0, -1.0);
     std::vector<double> y;
     m.multiply({1.0, 1.0, 1.0, 1.0}, y);
     ASSERT_EQ(y.size(), 4u);
@@ -49,7 +48,7 @@ TEST(CsrMatrix, Multiply) {
 }
 
 TEST(CsrMatrix, Diagonal) {
-    const csr_matrix m = make_tridiagonal(3, 5.0, -1.0);
+    const sliced_matrix m = make_tridiagonal(3, 5.0, -1.0);
     const std::vector<double> d = m.diagonal();
     EXPECT_EQ(d, (std::vector<double>{5.0, 5.0, 5.0}));
 }
@@ -59,7 +58,7 @@ TEST(CsrMatrix, AsymmetryDetected) {
     b.add_diagonal(0, 1.0);
     b.add_diagonal(1, 1.0);
     b.add(0, 1, -0.5); // missing transpose entry
-    const csr_matrix m = b.build();
+    const sliced_matrix m = b.build();
     EXPECT_FALSE(m.is_symmetric());
 }
 
@@ -71,7 +70,7 @@ TEST(CsrMatrix, OutOfRangeAddThrows) {
 TEST(CgSolver, SolvesIdentity) {
     coo_builder b(3);
     for (std::size_t i = 0; i < 3; ++i) b.add_diagonal(i, 1.0);
-    const csr_matrix m = b.build();
+    const sliced_matrix m = b.build();
     std::vector<double> x;
     const cg_result res = cg_solve(m, {1.0, 2.0, 3.0}, x);
     EXPECT_TRUE(res.converged);
@@ -81,7 +80,7 @@ TEST(CgSolver, SolvesIdentity) {
 }
 
 TEST(CgSolver, ZeroRhsGivesZero) {
-    const csr_matrix m = make_tridiagonal(5, 2.0, -1.0);
+    const sliced_matrix m = make_tridiagonal(5, 2.0, -1.0);
     std::vector<double> x(5, 3.0); // non-zero warm start
     const cg_result res = cg_solve(m, std::vector<double>(5, 0.0), x);
     EXPECT_TRUE(res.converged);
@@ -98,7 +97,7 @@ TEST_P(CgPreconditioners, SolvesRandomSpdSystem) {
     for (std::size_t i = 0; i < n; ++i) b.add_diagonal(i, 4.0 + rng.next_double());
     for (std::size_t i = 0; i + 1 < n; ++i) b.add_symmetric_pair(i, i + 1, -1.0);
     for (std::size_t i = 0; i + 7 < n; ++i) b.add_symmetric_pair(i, i + 7, -0.5);
-    const csr_matrix m = b.build();
+    const sliced_matrix m = b.build();
 
     std::vector<double> x_true(n);
     for (double& v : x_true) v = rng.next_range(-2.0, 2.0);
@@ -120,7 +119,7 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, CgPreconditioners,
                                            preconditioner_kind::ssor));
 
 TEST(CgSolver, WarmStartConvergesFaster) {
-    const csr_matrix m = make_tridiagonal(200, 2.1, -1.0);
+    const sliced_matrix m = make_tridiagonal(200, 2.1, -1.0);
     std::vector<double> rhs(200, 1.0);
 
     std::vector<double> cold;
@@ -135,7 +134,9 @@ TEST(CgSolver, WarmStartConvergesFaster) {
 }
 
 TEST(CgSolver, OperatorVariantMatchesMatrixVariant) {
-    const csr_matrix m = make_tridiagonal(50, 3.0, -1.0);
+    // The shifted entry point with an all-zero shift solves the plain
+    // system: same solution as the unshifted solve.
+    const sliced_matrix m = make_tridiagonal(50, 3.0, -1.0);
     std::vector<double> rhs(50);
     prng rng(23);
     for (double& v : rhs) v = rng.next_range(-1.0, 1.0);
@@ -143,87 +144,66 @@ TEST(CgSolver, OperatorVariantMatchesMatrixVariant) {
     std::vector<double> x_matrix;
     cg_solve(m, rhs, x_matrix);
 
-    const linear_operator apply = [&](const std::vector<double>& x,
-                                      std::vector<double>& y) { m.multiply(x, y); };
+    const std::vector<double> zero_shift(50, 0.0);
     std::vector<double> x_op;
-    const cg_result res = cg_solve_operator(apply, m.diagonal(), rhs, x_op);
+    const cg_result res = cg_solve(m, rhs, x_op, {}, nullptr, &zero_shift);
     ASSERT_TRUE(res.converged);
     for (std::size_t i = 0; i < 50; ++i) EXPECT_NEAR(x_op[i], x_matrix[i], 1e-6);
 }
 
 TEST(CgSolver, OperatorWithDiagonalShift) {
-    // (A + wI) x = b solved via the operator interface — the anchored
+    // (A + wI) x = b solved through the diagonal shift — the anchored
     // system used by the GORDIAN baseline.
-    const csr_matrix m = make_tridiagonal(30, 2.0, -1.0);
+    const sliced_matrix m = make_tridiagonal(30, 2.0, -1.0);
     const double w = 0.7;
+    const std::vector<double> shift(30, w);
     std::vector<double> diag = m.diagonal();
     for (double& d : diag) d += w;
-    const linear_operator apply = [&](const std::vector<double>& x,
-                                      std::vector<double>& y) {
-        m.multiply(x, y);
-        for (std::size_t i = 0; i < x.size(); ++i) y[i] += w * x[i];
-    };
     std::vector<double> rhs(30, 1.0);
     std::vector<double> x;
-    const cg_result res = cg_solve_operator(apply, diag, rhs, x);
+    const cg_result res = cg_solve(m, rhs, x, {}, &diag, &shift);
     ASSERT_TRUE(res.converged);
     // Verify residual directly.
     std::vector<double> ax;
-    apply(x, ax);
+    m.multiply(x, ax, &shift);
     for (std::size_t i = 0; i < 30; ++i) EXPECT_NEAR(ax[i], rhs[i], 1e-6);
 }
 
-TEST(CgSolver, OperatorSsorFallbackWarnsOnceAndMatchesJacobi) {
-    // Requesting SSOR behind the opaque-operator interface downgrades to
-    // Jacobi with a warning. Regression-pins the contract: the warning
-    // fires exactly once per process (not per solve, not zero times), and
-    // the downgrade really is Jacobi — the solution is bitwise identical
-    // to an explicit jacobi-preconditioned solve.
-    const csr_matrix m = make_tridiagonal(60, 3.0, -1.0);
-    std::vector<double> rhs(60);
+TEST(CgSolver, ShiftedSsorSolvesShiftedSystem) {
+    // SSOR on A + diag(shift): the sweeps take A's strict triangles and
+    // the shifted diagonal. The shift is zero on some rows. The solution
+    // must match an explicitly assembled A + diag(shift) solved with SSOR,
+    // and a Jacobi solve of the shifted system.
+    constexpr std::size_t n = 60;
+    const sliced_matrix m = make_tridiagonal(n, 3.0, -1.0);
+    std::vector<double> rhs(n), shift(n);
     prng rng(77);
     for (double& v : rhs) v = rng.next_range(-1.0, 1.0);
-    const linear_operator apply = [&](const std::vector<double>& x,
-                                      std::vector<double>& y) { m.multiply(x, y); };
-    const std::vector<double> diag = m.diagonal();
+    for (std::size_t i = 0; i < n; ++i) shift[i] = i % 3 == 0 ? 0.0 : 0.5 + 0.01 * i;
 
-    reset_cg_operator_ssor_warning();
-    std::vector<std::string> warnings;
-    set_log_sink([&](log_level level, const std::string& message) {
-        if (level == log_level::warning) warnings.push_back(message);
-    });
+    coo_builder explicit_builder(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        explicit_builder.add_diagonal(i, 3.0 + shift[i]);
+        if (i + 1 < n) explicit_builder.add_symmetric_pair(i, i + 1, -1.0);
+    }
+    const sliced_matrix shifted = explicit_builder.build();
 
     cg_options ssor;
     ssor.preconditioner = preconditioner_kind::ssor;
-    std::vector<double> x_first, x_second;
-    ASSERT_TRUE(cg_solve_operator(apply, diag, rhs, x_first, ssor).converged);
-    ASSERT_TRUE(cg_solve_operator(apply, diag, rhs, x_second, ssor).converged);
-    set_log_sink(nullptr);
-
-    ASSERT_EQ(warnings.size(), 1u) << "warning must fire exactly once";
-    EXPECT_NE(warnings[0].find("ssor"), std::string::npos) << warnings[0];
-    EXPECT_NE(warnings[0].find("jacobi"), std::string::npos) << warnings[0];
+    ssor.tolerance = 1e-10;
+    std::vector<double> x_shift, x_explicit;
+    ASSERT_TRUE(cg_solve(m, rhs, x_shift, ssor, nullptr, &shift).converged);
+    ASSERT_TRUE(cg_solve(shifted, rhs, x_explicit, ssor).converged);
 
     cg_options jacobi;
     jacobi.preconditioner = preconditioner_kind::jacobi;
+    jacobi.tolerance = 1e-10;
     std::vector<double> x_jacobi;
-    ASSERT_TRUE(cg_solve_operator(apply, diag, rhs, x_jacobi, jacobi).converged);
-    ASSERT_EQ(x_first.size(), x_jacobi.size());
-    for (std::size_t i = 0; i < x_jacobi.size(); ++i) {
-        EXPECT_EQ(x_first[i], x_jacobi[i]) << i; // bitwise: same math path
-        EXPECT_EQ(x_second[i], x_jacobi[i]) << i;
+    ASSERT_TRUE(cg_solve(m, rhs, x_jacobi, jacobi, nullptr, &shift).converged);
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_NEAR(x_shift[i], x_explicit[i], 1e-8) << i;
+        EXPECT_NEAR(x_shift[i], x_jacobi[i], 1e-8) << i;
     }
-
-    // The reset hook re-arms it — a second process-lifetime can be simulated.
-    reset_cg_operator_ssor_warning();
-    warnings.clear();
-    set_log_sink([&](log_level level, const std::string& message) {
-        if (level == log_level::warning) warnings.push_back(message);
-    });
-    std::vector<double> x_again;
-    ASSERT_TRUE(cg_solve_operator(apply, diag, rhs, x_again, ssor).converged);
-    set_log_sink(nullptr);
-    EXPECT_EQ(warnings.size(), 1u);
 }
 
 TEST(VectorHelpers, DotNormAxpy) {

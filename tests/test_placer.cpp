@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/metrics.hpp"
 #include "core/placer.hpp"
 #include "density/empty_square.hpp"
 #include "netlist/generator.hpp"
+#include "util/logging.hpp"
 #include "util/prng.hpp"
 
 namespace gpf {
@@ -50,6 +53,35 @@ TEST(Placer, HistoryTracksIterations) {
         EXPECT_EQ(p.history()[i].iteration, i);
         EXPECT_GT(p.history()[i].hpwl, 0.0);
     }
+}
+
+TEST(Placer, PlateauStopIsReportedAsPlateau) {
+    // A tolerance of 1 means overflow never counts as improving, so the
+    // run stops on the plateau after plateau_window transformations. The
+    // closing line must name that reason, not the iteration cap.
+    const netlist nl = medium_circuit();
+    placer_options opt;
+    opt.density_bins = 1024;
+    opt.max_iterations = 50;
+    opt.plateau_window = 2;
+    opt.plateau_tolerance = 1.0;
+    std::vector<std::string> lines;
+    const log_level previous = get_log_level();
+    set_log_level(log_level::info);
+    set_log_sink([&](log_level, const std::string& message) { lines.push_back(message); });
+    placer p(nl, opt);
+    p.run();
+    set_log_sink(nullptr);
+    set_log_level(previous);
+
+    EXPECT_EQ(p.history().size(), 2u);
+    std::string finished;
+    for (const std::string& line : lines) {
+        if (line.find("placer finished") != std::string::npos) finished = line;
+    }
+    ASSERT_FALSE(finished.empty());
+    EXPECT_NE(finished.find("(overflow plateau)"), std::string::npos) << finished;
+    EXPECT_EQ(finished.find("iteration cap"), std::string::npos) << finished;
 }
 
 TEST(Placer, StepCallbackCanStopEarly) {

@@ -332,7 +332,7 @@ TEST_P(ThreadedKernelProperties, SpmvMatchesSerialExactly) {
             builder.add(i, std::min(j, n - 1), rng.next_range(-1.0, 1.0));
         }
     }
-    const csr_matrix a = builder.build();
+    const sliced_matrix a = builder.build();
     std::vector<double> x(n);
     for (double& v : x) v = rng.next_range(-10.0, 10.0);
 

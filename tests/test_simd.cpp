@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -36,7 +37,8 @@ TEST(Simd, ScalarTableAlwaysAvailableAndComplete) {
     EXPECT_NE(table->accumulate, nullptr);
     EXPECT_NE(table->scale, nullptr);
     EXPECT_NE(table->dot, nullptr);
-    EXPECT_NE(table->dot_gather, nullptr);
+    EXPECT_NE(table->cg_update, nullptr);
+    EXPECT_NE(table->spmv_sliced, nullptr);
     EXPECT_NE(table->add_scalar, nullptr);
     EXPECT_NE(table->cmul, nullptr);
     EXPECT_NE(table->cmul_pair, nullptr);
@@ -93,7 +95,8 @@ TEST(Simd, Avx512TableCompleteWhenAvailable) {
     EXPECT_NE(table->accumulate, nullptr);
     EXPECT_NE(table->scale, nullptr);
     EXPECT_NE(table->dot, nullptr);
-    EXPECT_NE(table->dot_gather, nullptr);
+    EXPECT_NE(table->cg_update, nullptr);
+    EXPECT_NE(table->spmv_sliced, nullptr);
     EXPECT_NE(table->add_scalar, nullptr);
     EXPECT_NE(table->cmul, nullptr);
     EXPECT_NE(table->cmul_pair, nullptr);
@@ -205,10 +208,69 @@ TEST(Simd, ReductionsUseFixedLaneOrder) {
     const double got_dot = simd().dot(a.data(), b.data(), n);
     EXPECT_EQ(std::memcmp(&got_dot, &want_dot, sizeof(double)), 0);
 
+    // The sliced SpMV reduces each row in the same shape: one row of n
+    // entries, stored simd_slice_rows slots apart, in a slice of its own.
+    const std::size_t w = simd_slice_rows;
+    std::vector<double> values(w * n, 0.0);
+    std::vector<std::uint32_t> cols(w * n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        values[i * w] = a[i];
+        cols[i * w] = static_cast<std::uint32_t>(idx[i]);
+    }
+    const std::size_t slice_ptr[] = {0, w * n};
+    std::vector<std::uint32_t> row_len(w, 0), row_of(w, 0);
+    row_len[0] = static_cast<std::uint32_t>(n);
+    const sliced_view view{values.data(), cols.data(), slice_ptr,
+                           row_len.data(), row_of.data(), 1};
     const double want_gather =
         reference([&](std::size_t i) { return a[i] * b[idx[i]]; });
-    const double got_gather = simd().dot_gather(a.data(), idx.data(), b.data(), n);
+    double got_gather = 0.0;
+    simd().spmv_sliced(view, b.data(), nullptr, &got_gather, 0, 1);
     EXPECT_EQ(std::memcmp(&got_gather, &want_gather, sizeof(double)), 0);
+}
+
+TEST(Simd, CgUpdateMatchesSeparateKernels) {
+    // The fused CG update of every available tier must be bitwise the
+    // separate axpy / divide / dot sequence, with and without the Jacobi
+    // divisor, including the loop tail (n odd).
+    prng rng(29);
+    const std::size_t n = 1003;
+    std::vector<double> p(n), ap(n), d(n), x0(n), r0(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        p[i] = rng.next_range(-2.0, 2.0);
+        ap[i] = rng.next_range(-2.0, 2.0);
+        d[i] = rng.next_range(0.5, 3.0);
+        x0[i] = rng.next_range(-2.0, 2.0);
+        r0[i] = rng.next_range(-2.0, 2.0);
+    }
+    const double alpha = 0.37;
+    const simd_kernels& ref = *simd_kernels_for(simd_isa::scalar);
+    for (const simd_isa isa : {simd_isa::scalar, simd_isa::avx2, simd_isa::avx512,
+                               simd_isa::neon}) {
+        const simd_kernels* kern = simd_kernels_for(isa);
+        if (kern == nullptr) continue;
+        SCOPED_TRACE(simd_isa_name(isa));
+        for (const bool jacobi : {true, false}) {
+            std::vector<double> x = x0, r = r0, z(n, 0.0);
+            std::vector<double> want_x = x0, want_r = r0, want_z(n, 0.0);
+            ref.axpy(alpha, p.data(), want_x.data(), n);
+            ref.axpy(-alpha, ap.data(), want_r.data(), n);
+            double want_rz = 0.0;
+            if (jacobi) {
+                for (std::size_t i = 0; i < n; ++i) want_z[i] = want_r[i] / d[i];
+                want_rz = ref.dot(want_r.data(), want_z.data(), n);
+            }
+            const double want_rr = ref.dot(want_r.data(), want_r.data(), n);
+            double rz = 0.0, rr = 0.0;
+            kern->cg_update(alpha, p.data(), ap.data(), jacobi ? d.data() : nullptr,
+                            x.data(), r.data(), z.data(), n, &rz, &rr);
+            EXPECT_EQ(std::memcmp(x.data(), want_x.data(), n * sizeof(double)), 0);
+            EXPECT_EQ(std::memcmp(r.data(), want_r.data(), n * sizeof(double)), 0);
+            EXPECT_EQ(std::memcmp(z.data(), want_z.data(), n * sizeof(double)), 0);
+            EXPECT_EQ(std::memcmp(&rz, &want_rz, sizeof(double)), 0);
+            EXPECT_EQ(std::memcmp(&rr, &want_rr, sizeof(double)), 0);
+        }
+    }
 }
 
 TEST(Simd, ComplexMultiplyMatchesExplicitForm) {

@@ -17,6 +17,7 @@
 // kernel table to compare against.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -26,10 +27,11 @@
 
 #include "density/density_map.hpp"
 #include "linalg/cg_solver.hpp"
-#include "linalg/csr_matrix.hpp"
+#include "linalg/sliced_matrix.hpp"
 #include "linalg/fft.hpp"
 #include "util/prng.hpp"
 #include "util/simd.hpp"
+#include "util/simd_internal.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gpf {
@@ -221,7 +223,7 @@ TEST_F(SimdEquivalence, ConvolvePairBitwiseAcrossIsaAndThreads) {
 }
 
 /// SPD test system: 1-D Laplacian plus a random positive diagonal.
-csr_matrix laplacian_system(std::size_t n, prng& rng, std::vector<double>& b) {
+sliced_matrix laplacian_system(std::size_t n, prng& rng, std::vector<double>& b) {
     coo_builder builder(n);
     for (std::size_t i = 0; i < n; ++i) {
         builder.add_diagonal(i, 4.0 + rng.next_range(0.0, 1.0));
@@ -240,7 +242,7 @@ TEST_F(SimdEquivalence, CgSolveBitwiseAcrossIsaAndThreads) {
         // Above deterministic_sum_slab so dot() takes the slabbed path.
         const std::size_t n = 3000;
         std::vector<double> b;
-        const csr_matrix a = laplacian_system(n, rng, b);
+        const sliced_matrix a = laplacian_system(n, rng, b);
         cg_options opt;
         opt.tolerance = 1e-10;
 
@@ -262,6 +264,94 @@ TEST_F(SimdEquivalence, CgSolveBitwiseAcrossIsaAndThreads) {
                 ASSERT_TRUE(bitwise_equal(x, ref))
                     << simd_isa_name(isa) << " threads=" << threads;
                 EXPECT_EQ(result.iterations, ref_result.iterations);
+            }
+        }
+    }
+}
+
+/// Sparse test matrix in CSR form for the sliced SpMV: rows of every
+/// length 0..64 (so every residue mod 4 and empty rows), one row far
+/// longer than the rows it shares a slice with, random lengths elsewhere,
+/// and signed zeros among the values so that some products are −0.0.
+struct csr_arrays {
+    std::vector<std::size_t> row_ptr{0};
+    std::vector<std::size_t> col_idx;
+    std::vector<double> values;
+};
+
+csr_arrays sliced_test_matrix(std::size_t n, prng& rng) {
+    csr_arrays m;
+    std::vector<char> used(n, 0);
+    const std::size_t long_row = 65 + rng.next_below(n - 65);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::size_t len = i <= 64 ? i : rng.next_below(24);
+        if (i == long_row) len = 200;
+        std::vector<std::size_t> cols;
+        while (cols.size() < len) {
+            const std::size_t j = rng.next_below(n);
+            if (!used[j]) {
+                used[j] = 1;
+                cols.push_back(j);
+            }
+        }
+        for (const std::size_t j : cols) used[j] = 0;
+        std::sort(cols.begin(), cols.end());
+        for (const std::size_t j : cols) {
+            m.col_idx.push_back(j);
+            const double u = rng.next_double();
+            m.values.push_back(u < 0.1 ? 0.0 : u < 0.2 ? -0.0 : rng.next_range(-1.0, 1.0));
+        }
+        m.row_ptr.push_back(m.col_idx.size());
+    }
+    return m;
+}
+
+TEST_F(SimdEquivalence, SlicedSpmvBitwiseAcrossIsaAndThreads) {
+    const std::uint64_t seeds = seed_count();
+    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+        SCOPED_TRACE("seed=" + std::to_string(seed));
+        prng rng(seed * 977 + 5);
+        // Not a multiple of the slice height: the last slice is padded.
+        const std::size_t n = 300 + 8 * rng.next_below(40) + 1 + rng.next_below(7);
+        const csr_arrays csr = sliced_test_matrix(n, rng);
+        const sliced_matrix a(csr.row_ptr, csr.col_idx, csr.values);
+        std::vector<double> x(n), shift(n);
+        for (double& v : x) {
+            const double u = rng.next_double();
+            v = u < 0.1 ? 0.0 : u < 0.2 ? -0.0 : rng.next_range(-2.0, 2.0);
+        }
+        for (double& v : shift) {
+            const double u = rng.next_double();
+            v = u < 0.3 ? 0.0 : u < 0.4 ? -0.0 : rng.next_range(0.0, 3.0);
+        }
+
+        // Reference: one dot_gather_scalar per CSR row, then the shift.
+        const auto reference = [&](const std::vector<double>* s) {
+            std::vector<double> y(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::size_t k0 = csr.row_ptr[i];
+                y[i] = detail::dot_gather_scalar(csr.values.data() + k0,
+                                                 csr.col_idx.data() + k0, x.data(),
+                                                 csr.row_ptr[i + 1] - k0);
+                if (s != nullptr) y[i] += (*s)[i] * x[i];
+            }
+            return y;
+        };
+        const std::vector<double>* shifts[] = {nullptr, &shift};
+        for (const std::vector<double>* s : shifts) {
+            const std::vector<double> want = reference(s);
+            for (const simd_isa isa : available_isas()) {
+                for (const std::size_t threads : kThreadSweep) {
+                    scoped_config cfg(isa, threads);
+                    std::vector<double> y;
+                    a.multiply(x, y, s);
+                    if (!bitwise_equal(y, want)) {
+                        log_failing_seed("simd_sliced_spmv_bitwise", seed);
+                    }
+                    ASSERT_TRUE(bitwise_equal(y, want))
+                        << simd_isa_name(isa) << " threads=" << threads
+                        << (s != nullptr ? " shifted" : "");
+                }
             }
         }
     }

@@ -225,7 +225,14 @@ TEST(TransformCache, ProfilerCollectsPhaseSamples) {
     EXPECT_GT(prof.calls(profile_phase::solve), 0u);
     EXPECT_GT(prof.calls(profile_phase::spread_check), 0u);
     EXPECT_GT(prof.total_cg_x() + prof.total_cg_y(), 0u);
-    EXPECT_FALSE(prof.summary().empty());
+    const std::string summary = prof.summary();
+    EXPECT_FALSE(summary.empty());
+    // Kernels without a flop count (stamp) print no GFLOP/s column.
+    ASSERT_GT(prof.kernel_calls(profile_kernel::stamp), 0u);
+    const std::size_t stamp_line = summary.find("kernel stamp");
+    ASSERT_NE(stamp_line, std::string::npos) << summary;
+    const std::string line = summary.substr(stamp_line, summary.find('\n', stamp_line) - stamp_line);
+    EXPECT_EQ(line.find("GFLOP/s"), std::string::npos) << line;
 
     prof.reset();
     prof.set_enabled(was_enabled);

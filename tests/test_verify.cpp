@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <limits>
 
 #include "core/placer.hpp"
 #include "legal/legalize.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/suite.hpp"
+#include "test_paths.hpp"
 #include "util/check.hpp"
 #include "verify/fuzz.hpp"
 #include "verify/verify.hpp"
@@ -228,10 +230,27 @@ TEST(VerifyCheckpoints, FullPipelineRunsCleanWithCheckpointsActive) {
 
 // --- fuzz harness -------------------------------------------------------
 
+/// A private fuzz work directory per test process, removed afterwards:
+/// the default shared temp directory races under parallel ctest.
+class fuzz_work_dir {
+public:
+    fuzz_work_dir() : path_(testing::unique_temp_base("gpf_fuzz_io")) {}
+    ~fuzz_work_dir() {
+        std::error_code ec;
+        std::filesystem::remove_all(path_, ec);
+    }
+    const std::string& path() const { return path_; }
+
+private:
+    std::string path_;
+};
+
 TEST(VerifyFuzz, BookshelfIoSmoke) {
+    const fuzz_work_dir dir;
     fuzz_options opt;
     opt.iterations = 300;
     opt.seed = 42;
+    opt.work_dir = dir.path();
     const fuzz_result result = fuzz_bookshelf_io(opt);
     EXPECT_EQ(result.iterations, 300u);
     EXPECT_TRUE(result.ok()) << result.failures.size() << " contract breaches; first: "
@@ -246,9 +265,11 @@ TEST(VerifyFuzz, BookshelfIoSmoke) {
 }
 
 TEST(VerifyFuzz, DeterministicForSameSeed) {
+    const fuzz_work_dir dir;
     fuzz_options opt;
     opt.iterations = 60;
     opt.seed = 7;
+    opt.work_dir = dir.path();
     const fuzz_result a = fuzz_bookshelf_io(opt);
     const fuzz_result b = fuzz_bookshelf_io(opt);
     EXPECT_EQ(a.rejected, b.rejected);
