@@ -7,6 +7,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "cluster/coarsen.hpp"
@@ -28,6 +29,12 @@ namespace {
 
 /// Normalization floor of the best-so-far score terms.
 constexpr double kTiny = 1e-12;
+
+/// The anchored solves stop once their position error is this fraction of
+/// a density bin (cg_options::displacement_tolerance): the next force
+/// field samples the layout on that grid, so finer positions change
+/// nothing.
+constexpr double kStopBinFraction = 1e-3;
 
 /// Why the transformation loop ended, recorded at the stop itself and
 /// printed by its closing log line.
@@ -144,14 +151,27 @@ std::pair<std::size_t, std::size_t> placer::density_dims() const {
     return {clampdim(nx), clampdim(ny)};
 }
 
+cg_options placer::solve_options(bool anchored) const {
+    cg_options opt = options_.cg;
+    opt.displacement_tolerance = 0.0;
+    if (anchored) {
+        const auto [nx, ny] = density_dims();
+        const rect region = nl_.region();
+        opt.displacement_tolerance =
+            kStopBinFraction * std::min(region.width() / static_cast<double>(nx),
+                                        region.height() / static_cast<double>(ny));
+    }
+    return opt;
+}
+
 void placer::reset_forces() {
     std::fill(force_x_.begin(), force_x_.end(), 0.0);
     std::fill(force_y_.begin(), force_y_.end(), 0.0);
     force_constant_ = 0.0;
 }
 
-std::pair<cg_result, cg_result> placer::wire_relax(placement& pl) {
-    system_.assemble(pl);
+std::pair<cg_result, cg_result> placer::wire_relax(placement& pl,
+                                                   const cg_options& cg) {
     const std::vector<point> vp = system_.variable_positions(pl);
     const double beta = options_.wire_relax_weight;
 
@@ -172,7 +192,7 @@ std::pair<cg_result, cg_result> placer::wire_relax(placement& pl) {
             rhs[v] = -b[v] + shift[v] * cur;
             x[v] = cur;
         }
-        return cg_solve(a, rhs, x, options_.cg, &full_diag, &shift);
+        return cg_solve(a, rhs, x, cg, &full_diag, &shift);
     };
     // The move-target workspaces double as the solution vectors here (they
     // are dead between transformations); delta_x_/delta_y_ must stay
@@ -309,6 +329,7 @@ placement placer::transform(const placement& current) {
     //    intra-connected clusters overshoot by their internal/external
     //    stiffness ratio). The accumulate mode is the paper-literal
     //    e ← e + e_move with a full re-solve.
+    const cg_options anchored = solve_options(/*anchored=*/true);
     cg_result res_x;
     cg_result res_y;
     placement next;
@@ -342,7 +363,7 @@ placement placer::transform(const placement& current) {
                     delta.assign(system_.num_vars(), 0.0);
                 }
                 // W̃ = diag(C) is the shift of the solver's sliced multiply.
-                return cg_solve(a, rhs, delta, options_.cg, &full_diag, &diag);
+                return cg_solve(a, rhs, delta, anchored, &full_diag, &diag);
             };
             parallel_invoke(
                 [&] {
@@ -364,24 +385,30 @@ placement placer::transform(const placement& current) {
                 force_x_[v] += move_x_[v];
                 force_y_[v] += move_y_[v];
             }
-            next = system_.solve(current, force_x_, force_y_, options_.cg, &res_x, &res_y);
+            next = system_.solve(current, force_x_, force_y_,
+                                 solve_options(/*anchored=*/false), &res_x, &res_y);
         }
     }
-    std::size_t cg_x = res_x.iterations;
-    std::size_t cg_y = res_y.iterations;
     bool cg_converged = res_x.converged && res_y.converged;
     double cg_residual = worse_residual(res_x.residual, res_y.residual);
 
     // Periodic wire relaxation (see placer_options::wire_relax_interval).
+    // Its system is assembled at the moved placement; that assembly is
+    // timed as assemble, the solves as wire_relax.
+    cg_result relax_x;
+    cg_result relax_y;
     if (options_.mode == placer_options::force_mode::hold_and_move &&
         options_.wire_relax_interval > 0 &&
         (history_.size() + 1) % options_.wire_relax_interval == 0) {
+        {
+            phase_timer timer(profile_phase::assemble);
+            system_.assemble(next);
+        }
         phase_timer timer(profile_phase::wire_relax);
-        const auto [rx, ry] = wire_relax(next);
-        cg_x += rx.iterations;
-        cg_y += ry.iterations;
-        cg_converged = cg_converged && rx.converged && ry.converged;
-        cg_residual = worse_residual(cg_residual, worse_residual(rx.residual, ry.residual));
+        std::tie(relax_x, relax_y) = wire_relax(next, anchored);
+        cg_converged = cg_converged && relax_x.converged && relax_y.converged;
+        cg_residual = worse_residual(cg_residual,
+                                     worse_residual(relax_x.residual, relax_y.residual));
     }
 
     if (options_.clamp_to_region) {
@@ -400,7 +427,8 @@ placement placer::transform(const placement& current) {
     stats.max_force = max_increment;
     stats.cg_residual = cg_residual;
     stats.cg_converged = cg_converged;
-    stats.cg_iterations = cg_x + cg_y;
+    stats.cg_iterations = res_x.iterations + res_y.iterations + relax_x.iterations +
+                          relax_y.iterations;
     if (!cg_converged) {
         log(log_level::warning) << "cg did not converge at transformation "
                                 << stats.iteration << " (relative residual "
@@ -447,7 +475,10 @@ placement placer::transform(const placement& current) {
 
     history_.push_back(stats);
     if (prof.enabled()) {
-        prof.add_cg_iterations(cg_x, cg_y);
+        prof.add_cg_iterations(cg_solve_kind::hold_and_move, res_x.iterations,
+                               res_y.iterations);
+        prof.add_cg_iterations(cg_solve_kind::wire_relax, relax_x.iterations,
+                               relax_y.iterations);
         prof.end_transform();
     }
 
@@ -762,9 +793,14 @@ placement placer::run_from(placement current, bool reset_forces) {
             // hold-and-move would otherwise preserve the arbitrary start.
             if (weight_hook_) weight_hook_(current);
             system_.assemble(current);
+            const cg_options cg = solve_options(/*anchored=*/false);
+            profiler& prof = profiler::instance();
             cg_result init_x, init_y;
-            placement solved = system_.solve(current, {}, {}, options_.cg,
-                                             &init_x, &init_y);
+            placement solved = system_.solve(current, {}, {}, cg, &init_x, &init_y);
+            if (prof.enabled()) {
+                prof.add_cg_iterations(cg_solve_kind::initial, init_x.iterations,
+                                       init_y.iterations);
+            }
             const auto solve_ok = [&](const cg_result& r) {
                 return std::isfinite(r.residual) &&
                        (r.converged || r.residual < options_.cg_stall_residual);
@@ -780,9 +816,13 @@ placement placer::run_from(placement current, bool reset_forces) {
                     "initial wire-length solve unhealthy (residual " +
                         fmt_value(worse_residual(init_x.residual, init_y.residual)) +
                         ")");
-                cg_options tightened = options_.cg;
+                cg_options tightened = cg;
                 tightened.preconditioner = preconditioner_kind::jacobi;
                 solved = system_.solve(current, {}, {}, tightened, &init_x, &init_y);
+                if (prof.enabled()) {
+                    prof.add_cg_iterations(cg_solve_kind::initial, init_x.iterations,
+                                           init_y.iterations);
+                }
                 if (movable_finite(solved) && solve_ok(init_x) && solve_ok(init_y)) {
                     current = std::move(solved);
                 } else {
@@ -1290,7 +1330,7 @@ void placer::bump_heartbeat() {
 
 std::uint64_t placer::compute_digest() const {
     state_digest d;
-    d.mix_string("gpf-placer-state-v1");
+    d.mix_string("gpf-placer-state-v2");
     // Every option that steers the trajectory. Deliberately excluded:
     // time_budget and max_transform_seconds (wall-clock guards that may
     // legitimately differ between the original and the resuming process),

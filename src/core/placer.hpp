@@ -188,6 +188,9 @@ struct placer_options {
     const std::atomic<bool>* stop_flag = nullptr;
 
     net_model_options net_model;
+    /// Solver options of every placer solve. displacement_tolerance is
+    /// ignored: the placer derives it from the density bin width for its
+    /// anchored solves and leaves it off elsewhere (DESIGN.md §6).
     cg_options cg;
 };
 
@@ -219,7 +222,8 @@ struct iteration_stats {
     /// relaxation included).
     std::size_t cg_iterations = 0;
     /// All CG solves of this transformation (x, y and wire relaxation)
-    /// reached the residual tolerance; false is logged as a warning and —
+    /// met a stop rule (the relative residual or, for the anchored solves,
+    /// the displacement stop); false is logged as a warning and —
     /// when the residual shows no real progress — treated as an incident
     /// by the recovery engine.
     bool cg_converged = true;
@@ -366,8 +370,16 @@ private:
     void bump_heartbeat();
     std::uint64_t compute_digest() const;
     std::pair<std::size_t, std::size_t> density_dims() const;
-    /// Returns the (x, y) CG results of the relaxation solves.
-    std::pair<cg_result, cg_result> wire_relax(placement& pl);
+    /// options.cg for one placer solve. Anchored solves (hold-and-move,
+    /// wire relaxation) get the displacement stop at a fixed fraction of
+    /// this placer's density bin width: their shift s bounds the error by
+    /// the Jacobi correction over min s/D (1/2 and β/(1+β)). Unanchored
+    /// solves (the initial wire-length optimum, the accumulate mode's
+    /// re-solve) have no such bound and keep only the relative stop.
+    cg_options solve_options(bool anchored) const;
+    /// Relaxation solves on the system assembled at pl (the caller
+    /// assembles); returns the (x, y) CG results.
+    std::pair<cg_result, cg_result> wire_relax(placement& pl, const cg_options& cg);
     /// Health check of one completed transformation: "" when healthy,
     /// otherwise the reason. Pure reads — never touches placer state.
     std::string health_check(const iteration_stats& stats, const placement& pl,

@@ -233,6 +233,20 @@ cg_result cg_solve(const sliced_matrix& a, const std::vector<double>& b,
         options.max_iterations > 0 ? options.max_iterations : 10 * n + 100;
     preconditioner precond(a, options, diagonal, shift);
     const double* jacobi = precond.jacobi_diagonal();
+    // Displacement stop (cg_options::displacement_tolerance): with the
+    // Jacobi divisor D the rz of every step is rᵀD⁻¹r, so the rule costs
+    // one fixed-slab sum of D per solve and no extra pass per iteration.
+    const bool displacement_stop =
+        jacobi != nullptr && options.displacement_tolerance > 0.0;
+    const double diag_sum =
+        displacement_stop
+            ? deterministic_sum(n, [&](std::size_t i) { return jacobi[i]; })
+            : 0.0;
+    const auto stop_holds = [&](double rz_now) {
+        return result.residual <= options.tolerance ||
+               (displacement_stop &&
+                std::sqrt(rz_now / diag_sum) <= options.displacement_tolerance);
+    };
 
     std::vector<double> r(n), z(n), p(n), ap(n);
     a.multiply(x, ap, shift);
@@ -246,7 +260,7 @@ cg_result cg_solve(const sliced_matrix& a, const std::vector<double>& b,
     for (std::size_t it = 0; it < max_iter; ++it) {
         result.residual = std::sqrt(rr) / bnorm;
         if (!std::isfinite(result.residual)) break; // contaminated: iterating cannot recover
-        if (result.residual <= options.tolerance) {
+        if (stop_holds(rz)) {
             result.converged = true;
             result.iterations = it;
             return result;
@@ -275,7 +289,7 @@ cg_result cg_solve(const sliced_matrix& a, const std::vector<double>& b,
         result.iterations = it + 1;
     }
     result.residual = std::sqrt(rr) / bnorm;
-    result.converged = result.residual <= options.tolerance;
+    result.converged = stop_holds(rz);
     return result;
 }
 

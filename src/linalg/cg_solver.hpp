@@ -19,12 +19,22 @@ enum class preconditioner_kind {
 
 struct cg_options {
     double tolerance = 1e-8;          ///< relative residual ||r||/||b|| target
+    /// Absolute stop in the units of x; 0 (default) disables it. With the
+    /// Jacobi preconditioner, D = diag(A + diag(shift)), the solve also
+    /// ends once sqrt(rᵀD⁻¹r / Σᵢ Dᵢᵢ) <= displacement_tolerance: the
+    /// D-weighted RMS of the Jacobi correction D⁻¹r. The D-weighted error
+    /// is at most that over the smallest eigenvalue of D⁻¹(A + diag(shift)),
+    /// which the shift keeps away from zero. The placer sets it from its
+    /// density bin width (DESIGN.md §6). With ssor or no preconditioner
+    /// only the relative stop applies.
+    double displacement_tolerance = 0.0;
     std::size_t max_iterations = 0;   ///< 0 → 10 * n
     preconditioner_kind preconditioner = preconditioner_kind::jacobi;
     double ssor_omega = 1.2;          ///< relaxation factor for ssor
 };
 
 struct cg_result {
+    /// The relative or the displacement stop held (cg_options).
     bool converged = false;
     std::size_t iterations = 0;
     double residual = 0.0; ///< final relative residual

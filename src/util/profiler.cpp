@@ -36,6 +36,28 @@ const char* profile_kernel_name(profile_kernel kernel) {
     return "?";
 }
 
+const char* cg_solve_kind_name(cg_solve_kind kind) {
+    switch (kind) {
+        case cg_solve_kind::initial: return "initial";
+        case cg_solve_kind::hold_and_move: return "hold_and_move";
+        case cg_solve_kind::wire_relax: return "wire_relax";
+        case cg_solve_kind::count_: break;
+    }
+    return "?";
+}
+
+namespace {
+
+/// Sum of one axis over every solve kind.
+template <class Counts>
+std::size_t axis_total(const Counts& counts, std::size_t axis) {
+    std::size_t total = 0;
+    for (const auto& kind : counts) total += kind[axis];
+    return total;
+}
+
+} // namespace
+
 profiler& profiler::instance() {
     static profiler p;
     return p;
@@ -67,11 +89,22 @@ void profiler::add_kernel_sample(profile_kernel kernel, double seconds,
     kernels_current_[i].calls += 1;
 }
 
-void profiler::add_cg_iterations(std::size_t x_iters, std::size_t y_iters) {
-    cg_x_total_ += x_iters;
-    cg_y_total_ += y_iters;
-    cg_x_current_ += x_iters;
-    cg_y_current_ += y_iters;
+void profiler::add_cg_iterations(cg_solve_kind kind, std::size_t x_iters,
+                                 std::size_t y_iters) {
+    const std::size_t k = static_cast<std::size_t>(kind);
+    cg_total_[k][0] += x_iters;
+    cg_total_[k][1] += y_iters;
+    cg_current_[k][0] += x_iters;
+    cg_current_[k][1] += y_iters;
+}
+
+std::size_t profiler::total_cg_x() const { return axis_total(cg_total_, 0); }
+
+std::size_t profiler::total_cg_y() const { return axis_total(cg_total_, 1); }
+
+std::size_t profiler::total_cg(cg_solve_kind kind) const {
+    const auto& counts = cg_total_[static_cast<std::size_t>(kind)];
+    return counts[0] + counts[1];
 }
 
 void profiler::end_transform() {
@@ -93,13 +126,18 @@ void profiler::end_transform() {
                          profile_kernel_name(static_cast<profile_kernel>(i)),
                          k.seconds * 1e3, gfs);
         }
-        std::fprintf(stderr, " cg_x=%zu cg_y=%zu total=%.3fms\n", cg_x_current_,
-                     cg_y_current_, total * 1e3);
+        std::fprintf(stderr, " cg_x=%zu cg_y=%zu", axis_total(cg_current_, 0),
+                     axis_total(cg_current_, 1));
+        for (std::size_t k = 0; k < num_cg_solve_kinds; ++k) {
+            std::fprintf(stderr, " cg_%s=%zu",
+                         cg_solve_kind_name(static_cast<cg_solve_kind>(k)),
+                         cg_current_[k][0] + cg_current_[k][1]);
+        }
+        std::fprintf(stderr, " total=%.3fms\n", total * 1e3);
     }
     current_.fill(0.0);
     kernels_current_.fill(kernel_totals{});
-    cg_x_current_ = 0;
-    cg_y_current_ = 0;
+    cg_current_ = cg_counts{};
 }
 
 double profiler::total_seconds(profile_phase phase) const {
@@ -153,7 +191,12 @@ std::string profiler::summary() const {
         }
         os << line;
     }
-    os << "  cg iterations: x=" << cg_x_total_ << " y=" << cg_y_total_ << "\n";
+    os << "  cg iterations: x=" << total_cg_x() << " y=" << total_cg_y();
+    for (std::size_t k = 0; k < num_cg_solve_kinds; ++k) {
+        os << ' ' << cg_solve_kind_name(static_cast<cg_solve_kind>(k)) << '='
+           << total_cg(static_cast<cg_solve_kind>(k));
+    }
+    os << "\n";
     return os.str();
 }
 
@@ -163,8 +206,8 @@ void profiler::reset() {
     kernels_.fill(kernel_totals{});
     kernels_current_.fill(kernel_totals{});
     transforms_ = 0;
-    cg_x_total_ = cg_y_total_ = 0;
-    cg_x_current_ = cg_y_current_ = 0;
+    cg_total_ = cg_counts{};
+    cg_current_ = cg_counts{};
 }
 
 } // namespace gpf

@@ -61,6 +61,20 @@ inline constexpr std::size_t num_profile_kernels =
 /// Name of a kernel as printed in trace lines and summaries.
 const char* profile_kernel_name(profile_kernel kernel);
 
+/// The placer's kinds of CG solve, whose iterations are counted apart.
+enum class cg_solve_kind : std::size_t {
+    initial = 0,   ///< wire-length optimum a fresh run starts from (outside transforms)
+    hold_and_move, ///< each transformation's displacement solve (or accumulate re-solve)
+    wire_relax,    ///< wire-relaxation solves
+    count_,
+};
+
+inline constexpr std::size_t num_cg_solve_kinds =
+    static_cast<std::size_t>(cg_solve_kind::count_);
+
+/// Name of a solve kind as printed in trace lines and summaries.
+const char* cg_solve_kind_name(cg_solve_kind kind);
+
 /// Process-wide profiler instance. Not thread-safe by design: phases are
 /// recorded from the placer's driving thread only (worker threads run
 /// inside a phase, never around one).
@@ -80,11 +94,14 @@ public:
     /// Record one kernel invocation: wall-clock seconds plus the nominal
     /// flop count of the work performed (for throughput reporting).
     void add_kernel_sample(profile_kernel kernel, double seconds, double flops);
-    void add_cg_iterations(std::size_t x_iters, std::size_t y_iters);
+    void add_cg_iterations(cg_solve_kind kind, std::size_t x_iters,
+                           std::size_t y_iters);
 
     /// Marks the end of one placement transformation; when tracing, emits
-    ///   GPF_PROFILE transform=N assemble=... ... cg_x=N cg_y=N total=...
-    /// with per-phase seconds for this transformation only.
+    ///   GPF_PROFILE transform=N assemble=... ... cg_x=N cg_y=N
+    ///   cg_initial=N cg_hold_and_move=N cg_wire_relax=N total=...
+    /// with per-phase seconds and iterations for this transformation only
+    /// (the initial solve's iterations land on the first line after it).
     void end_transform();
 
     std::size_t transforms() const { return transforms_; }
@@ -93,8 +110,11 @@ public:
     double kernel_seconds(profile_kernel kernel) const;
     double kernel_flops(profile_kernel kernel) const;
     std::size_t kernel_calls(profile_kernel kernel) const;
-    std::size_t total_cg_x() const { return cg_x_total_; }
-    std::size_t total_cg_y() const { return cg_y_total_; }
+    /// CG iterations over all solve kinds, per axis.
+    std::size_t total_cg_x() const;
+    std::size_t total_cg_y() const;
+    /// CG iterations of one solve kind, both axes.
+    std::size_t total_cg(cg_solve_kind kind) const;
 
     /// Multi-line human-readable summary of the accumulated totals.
     std::string summary() const;
@@ -123,8 +143,10 @@ private:
     std::array<kernel_totals, num_profile_kernels> kernels_{};
     std::array<kernel_totals, num_profile_kernels> kernels_current_{};
     std::size_t transforms_ = 0;
-    std::size_t cg_x_total_ = 0, cg_y_total_ = 0;
-    std::size_t cg_x_current_ = 0, cg_y_current_ = 0;
+    /// CG iterations per solve kind, [kind][axis] with axis 0 = x.
+    using cg_counts = std::array<std::array<std::size_t, 2>, num_cg_solve_kinds>;
+    cg_counts cg_total_{};
+    cg_counts cg_current_{}; ///< this transform
 };
 
 /// RAII phase scope: records elapsed wall-clock into the global profiler

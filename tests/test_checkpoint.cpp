@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -318,6 +319,39 @@ TEST_F(CheckpointResume, DigestMismatchIsRejected) {
     const netlist other_nl = test_circuit(180, 34);
     placer reader2(other_nl, opt);
     EXPECT_THROW((void)reader2.resume(path_), checkpoint_error);
+}
+
+TEST_F(CheckpointResume, CheckpointOfThePreviousStateTagIsRejected) {
+    // The state tag moved to v2 with the resolution-aware CG stop, which
+    // changes every trajectory. 0x8beba8afae79e546 is the digest the v1
+    // tag gave this very placer: a checkpoint stamped with it was written
+    // by the earlier solver and must be refused by the digest check, not
+    // resumed onto a different trajectory.
+    constexpr std::uint64_t kV1Digest = 0x8beba8afae79e546ull;
+    const netlist nl = test_circuit(180, 38);
+    placer_options opt = short_run_options();
+    opt.checkpoint_path = path_;
+    placer writer(nl, opt);
+    writer.set_step_callback([](const iteration_stats& stats, const placement&) {
+        return stats.iteration < 3;
+    });
+    (void)writer.run();
+    EXPECT_NE(writer.checkpoint_digest(), kV1Digest);
+
+    // The same payload under the v1 digest.
+    const checkpoint_blob blob = read_checkpoint_file(path_);
+    std::filesystem::remove(path_ + ".prev");
+    write_checkpoint_file(path_, kV1Digest, blob.payload);
+    std::filesystem::remove(path_ + ".prev");
+    placer reader(nl, opt);
+    try {
+        (void)reader.resume(path_);
+        ADD_FAILURE() << "a v1 checkpoint was resumed";
+    } catch (const checkpoint_error& e) {
+        EXPECT_NE(std::string(e.what()).find("different configuration"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST_F(CheckpointResume, CorruptPayloadCannotHalfLoadThePlacer) {

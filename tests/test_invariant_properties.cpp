@@ -15,12 +15,19 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "verify/properties.hpp"
 
 namespace gpf {
+
+/// gtest prints a parameter into each case's listed name; by default it
+/// dumps property_check's bytes, pointers included, so the names would
+/// change with every load address. The check name is stable.
+void PrintTo(const property_check& check, std::ostream* os) { *os << check.name; }
+
 namespace {
 
 std::uint64_t seed_count() {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "linalg/cg_solver.hpp"
 #include "linalg/sliced_matrix.hpp"
@@ -203,6 +204,160 @@ TEST(CgSolver, ShiftedSsorSolvesShiftedSystem) {
     for (std::size_t i = 0; i < n; ++i) {
         EXPECT_NEAR(x_shift[i], x_explicit[i], 1e-8) << i;
         EXPECT_NEAR(x_shift[i], x_jacobi[i], 1e-8) << i;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Displacement stop (cg_options::displacement_tolerance) on seeded systems
+// shaped like the placer's wire relaxation: a random netlist Laplacian with
+// pad anchors on a few rows, the shift s = β·diag(A), the right-hand side
+// b = pad pulls + s⊙x_cur, and the warm start x_cur.
+// ---------------------------------------------------------------------------
+
+struct relax_system {
+    sliced_matrix a;
+    std::vector<double> shift, diag, b, start;
+};
+
+relax_system make_relax_system(std::uint64_t seed) {
+    constexpr double kWidth = 1000.0; // layout units
+    constexpr double kBeta = 0.05;    // placer_options::wire_relax_weight
+    prng rng(seed);
+    const std::size_t n = 100 + rng.next_below(500);
+    coo_builder builder(n);
+    std::vector<double> diag_a(n, 0.0), pull(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t degree = 1 + rng.next_below(3);
+        for (std::size_t k = 0; k < degree; ++k) {
+            const std::size_t j = rng.next_below(n);
+            if (j == i) continue;
+            const double w = rng.next_range(0.5, 2.0);
+            builder.add_symmetric_pair(i, j, -w);
+            diag_a[i] += w;
+            diag_a[j] += w;
+        }
+        if (rng.next_bool(0.05) || i == 0) { // pad anchor
+            const double w = rng.next_range(0.5, 2.0);
+            diag_a[i] += w;
+            pull[i] = w * rng.next_range(0.0, kWidth);
+        }
+    }
+    relax_system sys;
+    sys.shift.resize(n);
+    sys.diag.resize(n);
+    sys.b.resize(n);
+    sys.start.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        builder.add_diagonal(i, diag_a[i]);
+        sys.shift[i] = kBeta * diag_a[i];
+        sys.diag[i] = diag_a[i] + sys.shift[i];
+        sys.start[i] = rng.next_range(0.0, kWidth);
+        sys.b[i] = pull[i] + sys.shift[i] * sys.start[i];
+    }
+    sys.a = builder.build();
+    return sys;
+}
+
+/// ½ xᵀ(A + diag(s))x − bᵀx, the quadratic the solve minimizes.
+double objective(const relax_system& sys, const std::vector<double>& x) {
+    std::vector<double> ax;
+    sys.a.multiply(x, ax, &sys.shift);
+    return 0.5 * dot(x, ax) - dot(sys.b, x);
+}
+
+constexpr std::uint64_t kStopSeeds = 24;
+// 0 is the relative stop alone; the largest is met by the warm start.
+const double kDisplacementTolerances[] = {0.0, 1e-4, 1e-2, 1.0, 1e3};
+
+TEST(CgDisplacementStop, ConvergedResultMeetsItsDeclaredRule) {
+    std::size_t displacement_stops = 0;
+    for (std::uint64_t seed = 1; seed <= kStopSeeds; ++seed) {
+        const relax_system sys = make_relax_system(seed);
+        const std::size_t n = sys.b.size();
+        double diag_sum = 0.0;
+        for (const double d : sys.diag) diag_sum += d;
+        for (const double tol : kDisplacementTolerances) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " tolerance " +
+                         std::to_string(tol));
+            cg_options opt;
+            opt.displacement_tolerance = tol;
+            std::vector<double> x = sys.start;
+            const cg_result res = cg_solve(sys.a, sys.b, x, opt, &sys.diag, &sys.shift);
+            ASSERT_TRUE(res.converged);
+
+            // Recompute both stops from the returned x and the true
+            // residual b − (A + diag(s))x. The solver tests its recursive
+            // residual, which differs from the true one only by rounding,
+            // so 1% covers the difference.
+            std::vector<double> ax;
+            sys.a.multiply(x, ax, &sys.shift);
+            double rr = 0.0, rdr = 0.0;
+            for (std::size_t i = 0; i < n; ++i) {
+                const double r = sys.b[i] - ax[i];
+                rr += r * r;
+                rdr += r * r / sys.diag[i];
+            }
+            const double relative = std::sqrt(rr) / norm2(sys.b);
+            const double displacement = std::sqrt(rdr / diag_sum);
+            const bool relative_met = relative <= opt.tolerance * 1.01;
+            const bool displacement_met = tol > 0.0 && displacement <= tol * 1.01;
+            EXPECT_TRUE(relative_met || displacement_met)
+                << "relative " << relative << ", displacement " << displacement;
+            if (!relative_met && res.iterations > 0) ++displacement_stops;
+        }
+    }
+    // Beyond the warm-start case, the displacement rule must end solves
+    // that iterated: more than one per seed.
+    EXPECT_GT(displacement_stops, kStopSeeds);
+}
+
+TEST(CgDisplacementStop, WarmStartedSolveNeverRaisesTheObjective) {
+    for (std::uint64_t seed = 1; seed <= kStopSeeds; ++seed) {
+        const relax_system sys = make_relax_system(seed);
+        const double f0 = objective(sys, sys.start);
+        std::vector<double> ax;
+        sys.a.multiply(sys.start, ax, &sys.shift);
+        // Rounding of evaluating the objective itself.
+        const double slack = 1e-12 * (0.5 * std::abs(dot(sys.start, ax)) +
+                                      std::abs(dot(sys.b, sys.start)));
+        std::size_t prev_iterations = SIZE_MAX;
+        for (const double tol : kDisplacementTolerances) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " tolerance " +
+                         std::to_string(tol));
+            cg_options opt;
+            opt.displacement_tolerance = tol;
+            std::vector<double> x = sys.start;
+            const cg_result res = cg_solve(sys.a, sys.b, x, opt, &sys.diag, &sys.shift);
+            EXPECT_LE(objective(sys, x), f0 + slack);
+            if (res.iterations == 0) EXPECT_EQ(x, sys.start);
+            // A looser stop never iterates longer (the iterates are the
+            // same; only the exit test differs).
+            if (tol > 0.0) EXPECT_LE(res.iterations, prev_iterations);
+            prev_iterations = res.iterations;
+        }
+    }
+}
+
+TEST(CgDisplacementStop, ZeroToleranceAndSsorKeepTheRelativeStop) {
+    const relax_system sys = make_relax_system(5);
+    for (const preconditioner_kind kind :
+         {preconditioner_kind::jacobi, preconditioner_kind::ssor,
+          preconditioner_kind::none}) {
+        cg_options plain;
+        plain.preconditioner = kind;
+        cg_options with_stop = plain;
+        // Jacobi: a zero tolerance is the plain solve. Other kinds ignore
+        // any tolerance.
+        with_stop.displacement_tolerance =
+            kind == preconditioner_kind::jacobi ? 0.0 : 1e3;
+        std::vector<double> x_plain = sys.start, x_stop = sys.start;
+        const std::vector<double>* diag =
+            kind == preconditioner_kind::none ? nullptr : &sys.diag;
+        const cg_result a = cg_solve(sys.a, sys.b, x_plain, plain, diag, &sys.shift);
+        const cg_result b = cg_solve(sys.a, sys.b, x_stop, with_stop, diag, &sys.shift);
+        EXPECT_EQ(a.iterations, b.iterations);
+        EXPECT_EQ(a.residual, b.residual);
+        EXPECT_EQ(x_plain, x_stop);
     }
 }
 

@@ -225,8 +225,23 @@ TEST(TransformCache, ProfilerCollectsPhaseSamples) {
     EXPECT_GT(prof.calls(profile_phase::solve), 0u);
     EXPECT_GT(prof.calls(profile_phase::spread_check), 0u);
     EXPECT_GT(prof.total_cg_x() + prof.total_cg_y(), 0u);
+    // CG iterations are counted per solve kind, and the kinds add up to
+    // the per-axis totals.
+    std::size_t by_kind = 0;
+    for (std::size_t k = 0; k < num_cg_solve_kinds; ++k) {
+        const cg_solve_kind kind = static_cast<cg_solve_kind>(k);
+        EXPECT_GT(prof.total_cg(kind), 0u) << cg_solve_kind_name(kind);
+        by_kind += prof.total_cg(kind);
+    }
+    EXPECT_EQ(by_kind, prof.total_cg_x() + prof.total_cg_y());
+    // Wire relaxation's own assembly is timed as assemble: one assemble
+    // per transformation plus one per relaxation.
+    EXPECT_GT(prof.calls(profile_phase::wire_relax), 0u);
+    EXPECT_EQ(prof.calls(profile_phase::assemble),
+              prof.transforms() + prof.calls(profile_phase::wire_relax));
     const std::string summary = prof.summary();
     EXPECT_FALSE(summary.empty());
+    EXPECT_NE(summary.find("hold_and_move="), std::string::npos) << summary;
     // Kernels without a flop count (stamp) print no GFLOP/s column.
     ASSERT_GT(prof.kernel_calls(profile_kernel::stamp), 0u);
     const std::size_t stamp_line = summary.find("kernel stamp");
