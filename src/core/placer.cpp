@@ -36,6 +36,43 @@ constexpr double kTiny = 1e-12;
 /// nothing.
 constexpr double kStopBinFraction = 1e-3;
 
+/// Per-transformation displacement cap as a fraction of (W+H): the trust
+/// region that keeps strong near-pile fields from throwing cells across
+/// the chip in one step (hold_and_move mode only). The tightened retry of
+/// the recovery ladder halves it.
+constexpr double kMaxStepFraction = 0.03;
+
+/// β of wire relaxation's per-cell anchors (placer_options::
+/// wire_relax_interval): (C + β·diag(C)) p = −d + β·diag(C)·p_cur.
+constexpr double kWireRelaxWeight = 0.05;
+
+/// Multilevel coarse levels keep the full density grid up to this many
+/// bins — with the packed r2c spectral path such a convolution is under
+/// the per-level budget (256×256 runs in single-digit ms single-threaded)
+/// and the full grid spreads better — and ratio-scale it by the
+/// coarse/fine movable-cell ratio beyond.
+constexpr std::size_t kCoarseFullBinLimit = std::size_t{1} << 16;
+
+/// Cluster area cap: a merge may not exceed this multiple of the level's
+/// average movable-cell area.
+constexpr double kClusterMaxAreaRatio = 4.0;
+
+// Recovery ladder (DESIGN.md §9).
+/// Rung 1: tightened re-runs of an unhealthy transformation.
+constexpr std::size_t kMaxRetries = 1;
+/// Rung 2: rollbacks to a healthy snapshot per run; rung 3 (stop with the
+/// best-so-far placement) follows.
+constexpr std::size_t kMaxRollbacks = 2;
+/// The most recent healthy placements kept as rollback targets.
+constexpr std::size_t kSnapshotDepth = 3;
+/// Unhealthy when the overflow area exceeds the previous healthy
+/// iteration's by this factor (and is non-trivial in absolute terms).
+constexpr double kOverflowSpikeFactor = 8.0;
+/// A non-converged CG solve counts as an incident only when its relative
+/// residual is at least this (no real progress) or is non-finite;
+/// merely-loose solves log a warning and continue.
+constexpr double kCgStallResidual = 0.5;
+
 /// Why the transformation loop ended, recorded at the stop itself and
 /// printed by its closing log line.
 enum class loop_stop {
@@ -74,30 +111,6 @@ double worse_residual(double a, double b) {
     if (!std::isfinite(b)) return b;
     return std::max(a, b);
 }
-
-/// Scoped tightening of the solver options for a rung-1 retry: Jacobi
-/// preconditioning forced on and the trust region halved.
-class tighten_guard {
-public:
-    explicit tighten_guard(placer_options& opt)
-        : opt_(opt),
-          saved_step_(opt.max_step_fraction),
-          saved_precond_(opt.cg.preconditioner) {
-        opt_.max_step_fraction *= 0.5;
-        opt_.cg.preconditioner = preconditioner_kind::jacobi;
-    }
-    ~tighten_guard() {
-        opt_.max_step_fraction = saved_step_;
-        opt_.cg.preconditioner = saved_precond_;
-    }
-    tighten_guard(const tighten_guard&) = delete;
-    tighten_guard& operator=(const tighten_guard&) = delete;
-
-private:
-    placer_options& opt_;
-    double saved_step_;
-    preconditioner_kind saved_precond_;
-};
 
 } // namespace
 
@@ -152,8 +165,7 @@ std::pair<std::size_t, std::size_t> placer::density_dims() const {
 }
 
 cg_options placer::solve_options(bool anchored) const {
-    cg_options opt = options_.cg;
-    opt.displacement_tolerance = 0.0;
+    cg_options opt;
     if (anchored) {
         const auto [nx, ny] = density_dims();
         const rect region = nl_.region();
@@ -173,7 +185,7 @@ void placer::reset_forces() {
 std::pair<cg_result, cg_result> placer::wire_relax(placement& pl,
                                                    const cg_options& cg) {
     const std::vector<point> vp = system_.variable_positions(pl);
-    const double beta = options_.wire_relax_weight;
+    const double beta = kWireRelaxWeight;
 
     // (C + β·diag(C)) p = −d + β·diag(C)·p_cur: the shift β·diag(C) rides
     // along in the solver's sliced multiply.
@@ -195,9 +207,8 @@ std::pair<cg_result, cg_result> placer::wire_relax(placement& pl,
         return cg_solve(a, rhs, x, cg, &full_diag, &shift);
     };
     // The move-target workspaces double as the solution vectors here (they
-    // are dead between transformations); delta_x_/delta_y_ must stay
-    // untouched — they carry the hold-and-move warm-start state. x and y
-    // use disjoint buffers so the concurrent solves cannot alias.
+    // are dead between transformations). x and y use disjoint buffers so
+    // the concurrent solves cannot alias.
     cg_result res_x;
     cg_result res_y;
     parallel_invoke(
@@ -218,6 +229,7 @@ std::pair<cg_result, cg_result> placer::wire_relax(placement& pl,
 placement placer::transform(const placement& current) {
     GPF_CHECK(current.size() == nl_.num_cells());
     profiler& prof = profiler::instance();
+    const bool halve_step = std::exchange(halve_step_, false);
 
     // 1. Net weight adaption hook ("before each placement transformation",
     //    section 5) and system assembly — the matrix diagonal feeds the
@@ -295,8 +307,9 @@ placement placer::transform(const placement& current) {
             // overshoot by the ratio of internal to external stiffness.
             // The field magnitude decays with the density error, providing
             // the damping.
-            const double max_step =
-                options_.max_step_fraction * (region.width() + region.height());
+            const double step_fraction =
+                halve_step ? 0.5 * kMaxStepFraction : kMaxStepFraction;
+            const double max_step = step_fraction * (region.width() + region.height());
             for (std::size_t v = 0; v < system_.num_movable(); ++v) {
                 const point pos = current[system_.cell_of_var(v)];
                 const point f = field.sample(pos);
@@ -355,13 +368,7 @@ placement placer::transform(const placement& current) {
                 for (std::size_t v = 0; v < system_.num_vars(); ++v) {
                     full_diag[v] = 2.0 * diag[v]; // C_vv + w̃_v with w̃ = C_vv
                 }
-                // The previous transformation's displacement is a good
-                // guess for this one (the fields change slowly), but the
-                // CG trajectory then differs from a cold start, so warm
-                // starting is opt-in (see placer_options::warm_start_cg).
-                if (!options_.warm_start_cg || delta.size() != system_.num_vars()) {
-                    delta.assign(system_.num_vars(), 0.0);
-                }
+                delta.assign(system_.num_vars(), 0.0);
                 // W̃ = diag(C) is the shift of the solver's sliced multiply.
                 return cg_solve(a, rhs, delta, anchored, &full_diag, &diag);
             };
@@ -411,15 +418,14 @@ placement placer::transform(const placement& current) {
                                      worse_residual(relax_x.residual, relax_y.residual));
     }
 
-    if (options_.clamp_to_region) {
-        for (std::size_t v = 0; v < system_.num_movable(); ++v) {
-            const cell_id id = system_.cell_of_var(v);
-            const cell& c = nl_.cell_at(id);
-            const double hw = std::min(c.width / 2, region.width() / 2);
-            const double hh = std::min(c.height / 2, region.height() / 2);
-            next[id].x = std::clamp(next[id].x, region.xlo + hw, region.xhi - hw);
-            next[id].y = std::clamp(next[id].y, region.ylo + hh, region.yhi - hh);
-        }
+    // Project cell centers back into the core.
+    for (std::size_t v = 0; v < system_.num_movable(); ++v) {
+        const cell_id id = system_.cell_of_var(v);
+        const cell& c = nl_.cell_at(id);
+        const double hw = std::min(c.width / 2, region.width() / 2);
+        const double hh = std::min(c.height / 2, region.height() / 2);
+        next[id].x = std::clamp(next[id].x, region.xlo + hw, region.xhi - hw);
+        next[id].y = std::clamp(next[id].y, region.ylo + hh, region.yhi - hh);
     }
 
     iteration_stats stats;
@@ -484,11 +490,9 @@ placement placer::transform(const placement& current) {
 
     // Optional invariant checkpoint (GPF_VERIFY=1): every transformation
     // must hand the next stage finite coordinates, untouched fixed cells
-    // and — when clamping is on — centers inside the region.
+    // and centers inside the region.
     if (verify_checkpoints_enabled()) {
-        verify_options vopt;
-        vopt.check_in_region = options_.clamp_to_region;
-        checkpoint_global_placement(nl_, next, "placer::transform", vopt);
+        checkpoint_global_placement(nl_, next, "placer::transform");
     }
     return next;
 }
@@ -502,7 +506,7 @@ placement placer::run() {
 placement placer::run_multilevel() {
     stopwatch total_clock;
     coarsen_options copt;
-    copt.max_area_ratio = options_.cluster_max_area_ratio;
+    copt.max_area_ratio = kClusterMaxAreaRatio;
     copt.min_coarse_cells = options_.min_coarse_cells;
     cluster_hierarchy hierarchy;
     {
@@ -546,11 +550,11 @@ placement placer::run_multilevel() {
         // level whose options digest differs. Heartbeats stay on — the
         // V-cycle is alive the whole time.
         sub.checkpoint_path.clear();
-        // Ratio-scale the density grid only past coarse_full_bin_limit:
+        // Ratio-scale the density grid only past kCoarseFullBinLimit:
         // below it a full-resolution convolution is under the per-level
         // spectral budget (the r2c path, DESIGN.md §13), and coarse
         // levels spread better against the full grid.
-        if (options_.density_bins > options_.coarse_full_bin_limit) {
+        if (options_.density_bins > kCoarseFullBinLimit) {
             const double ratio = static_cast<double>(coarse_nl.num_movable()) /
                                  std::max(1.0, fine_movable);
             sub.density_bins = std::max<std::size_t>(
@@ -614,9 +618,7 @@ placement placer::run_multilevel() {
                 }
             }
             if (ok && verify_checkpoints_enabled()) {
-                verify_options vopt;
-                vopt.check_in_region = options_.clamp_to_region;
-                verify_global_placement(coarse_nl, out, vopt)
+                verify_global_placement(coarse_nl, out)
                     .require("placer::multilevel level " + std::to_string(li + 1));
                 // ∫D ≈ 0 on the level's own grid: finalize() balances
                 // supply against demand, so any residual integral means
@@ -745,7 +747,7 @@ std::string placer::health_check(const iteration_stats& stats, const placement& 
     // solve that made no real dent in the residual, or a poisoned one, is
     // an incident worth re-running.
     if (!stats.cg_converged && (!std::isfinite(stats.cg_residual) ||
-                                stats.cg_residual >= options_.cg_stall_residual)) {
+                                stats.cg_residual >= kCgStallResidual)) {
         return "cg solve stalled (relative residual " + fmt_value(stats.cg_residual) +
                ")";
     }
@@ -753,7 +755,7 @@ std::string placer::health_check(const iteration_stats& stats, const placement& 
     // previous healthy iteration (and past a noise floor of 1% of the
     // movable area) means a force blast threw cells into a pile.
     if (std::isfinite(prev_overflow) && prev_overflow > 0.0 &&
-        stats.overflow_area > prev_overflow * options_.overflow_spike_factor &&
+        stats.overflow_area > prev_overflow * kOverflowSpikeFactor &&
         stats.overflow_area > 0.01 * nl_.movable_area()) {
         return "density overflow spike (" + fmt_value(stats.overflow_area) +
                " after " + fmt_value(prev_overflow) + ")";
@@ -803,22 +805,20 @@ placement placer::run_from(placement current, bool reset_forces) {
             }
             const auto solve_ok = [&](const cg_result& r) {
                 return std::isfinite(r.residual) &&
-                       (r.converged || r.residual < options_.cg_stall_residual);
+                       (r.converged || r.residual < kCgStallResidual);
             };
             if (movable_finite(solved) && solve_ok(init_x) && solve_ok(init_y)) {
                 current = std::move(solved);
             } else {
-                // The initial solve failed; re-solve tightened, and as the
-                // last resort keep the caller's start placement — slower
-                // to spread, but finite.
+                // The initial solve failed; re-solve once, and as the last
+                // resort keep the caller's start placement — slower to
+                // spread, but finite.
                 record_recovery(
                     st, recovery_action::retry_tightened,
                     "initial wire-length solve unhealthy (residual " +
                         fmt_value(worse_residual(init_x.residual, init_y.residual)) +
                         ")");
-                cg_options tightened = cg;
-                tightened.preconditioner = preconditioner_kind::jacobi;
-                solved = system_.solve(current, {}, {}, tightened, &init_x, &init_y);
+                solved = system_.solve(current, {}, {}, cg, &init_x, &init_y);
                 if (prof.enabled()) {
                     prof.add_cg_iterations(cg_solve_kind::initial, init_x.iterations,
                                            init_y.iterations);
@@ -827,7 +827,7 @@ placement placer::run_from(placement current, bool reset_forces) {
                     current = std::move(solved);
                 } else {
                     record_recovery(st, recovery_action::rollback,
-                                    "tightened initial solve still unhealthy; "
+                                    "repeated initial solve still unhealthy; "
                                     "keeping the start placement");
                 }
             }
@@ -892,15 +892,8 @@ placement placer::run_loop(run_state& st) {
         }
         try {
             stopwatch step_clock;
-            placement out;
-            if (tightened) {
-                tighten_guard guard(options_);
-                delta_x_.clear(); // cold-start any warm-start state
-                delta_y_.clear();
-                out = transform(input);
-            } else {
-                out = transform(input);
-            }
+            halve_step_ = tightened;
+            placement out = transform(input);
             double took = step_clock.elapsed_seconds();
             if (options_.max_transform_seconds > 0.0 &&
                 fault_fires(fault_site::transform_stall)) {
@@ -994,8 +987,7 @@ placement placer::run_loop(run_state& st) {
         std::optional<placement> next = attempt(st.current, /*tightened=*/false);
         if (!next.has_value()) {
             // Rung 1: tightened retries from the same input.
-            for (std::size_t r = 0; r < options_.max_retries && !next.has_value();
-                 ++r) {
+            for (std::size_t r = 0; r < kMaxRetries && !next.has_value(); ++r) {
                 record_recovery(st, recovery_action::retry_tightened, reason);
                 next = attempt(st.current, /*tightened=*/true);
             }
@@ -1004,7 +996,7 @@ placement placer::run_loop(run_state& st) {
             // Rung 2: roll back to the most recent healthy snapshot with a
             // halved force constant; the snapshot is consumed so repeated
             // rollbacks walk further into the past.
-            if (st.rollbacks_used < options_.max_rollbacks && !st.snapshots.empty()) {
+            if (st.rollbacks_used < kMaxRollbacks && !st.snapshots.empty()) {
                 ++st.rollbacks_used;
                 record_recovery(st, recovery_action::rollback, reason);
                 snapshot_state snap = std::move(st.snapshots.back());
@@ -1013,8 +1005,6 @@ placement placer::run_loop(run_state& st) {
                 options_.force_scale_k = snap.force_scale_k * 0.5;
                 force_x_ = std::move(snap.force_x);
                 force_y_ = std::move(snap.force_y);
-                delta_x_.clear();
-                delta_y_.clear();
                 continue;
             }
             // Rung 3: stop; the best-so-far placement is returned below.
@@ -1045,15 +1035,10 @@ placement placer::run_loop(run_state& st) {
             st.best = st.current;
             st.have_best = true;
         }
-        if (options_.snapshot_depth > 0 &&
-            (options_.snapshot_interval <= 1 ||
-             stats.iteration % options_.snapshot_interval == 0)) {
-            if (st.snapshots.size() >= options_.snapshot_depth) {
-                st.snapshots.erase(st.snapshots.begin());
-            }
-            st.snapshots.push_back(
-                {st.current, options_.force_scale_k, force_x_, force_y_});
+        if (st.snapshots.size() >= kSnapshotDepth) {
+            st.snapshots.erase(st.snapshots.begin());
         }
+        st.snapshots.push_back({st.current, options_.force_scale_k, force_x_, force_y_});
 
         log(log_level::debug) << "iteration " << stats.iteration << " hpwl=" << stats.hpwl
                               << " empty_square=" << stats.largest_empty_square
@@ -1214,14 +1199,11 @@ std::string placer::serialize_state(const run_state& st) const {
     put_events(w, st.pending);
     // Iteration-carried placer members. force_scale_k is serialized as
     // state because rollback rungs halve it mid-run; the construction-time
-    // value is what the digest binds. delta_x_/delta_y_ are the CG
-    // warm-start displacements (state only under warm_start_cg).
+    // value is what the digest binds.
     w.put_f64(options_.force_scale_k);
     w.put_f64(force_constant_);
     w.put_f64_vector(force_x_);
     w.put_f64_vector(force_y_);
-    w.put_f64_vector(delta_x_);
-    w.put_f64_vector(delta_y_);
     w.put_u8(converged_ ? 1 : 0);
     w.put_u8(degraded_ ? 1 : 0);
     w.put_u64(history_.size());
@@ -1269,16 +1251,6 @@ void placer::restore_state(const std::string& payload, run_state& st) {
     force_constant_ = r.get_f64();
     force_x_ = get_force_vector(r, system_.num_vars(), "force_x");
     force_y_ = get_force_vector(r, system_.num_vars(), "force_y");
-    delta_x_ = r.get_f64_vector();
-    delta_y_ = r.get_f64_vector();
-    if (!delta_x_.empty() && delta_x_.size() != system_.num_vars()) {
-        throw checkpoint_error("checkpoint payload: warm-start delta_x has " +
-                               std::to_string(delta_x_.size()) + " entries");
-    }
-    if (!delta_y_.empty() && delta_y_.size() != system_.num_vars()) {
-        throw checkpoint_error("checkpoint payload: warm-start delta_y has " +
-                               std::to_string(delta_y_.size()) + " entries");
-    }
     converged_ = r.get_u8() != 0;
     degraded_ = r.get_u8() != 0;
     const std::uint64_t num_history = r.get_u64();
@@ -1330,7 +1302,7 @@ void placer::bump_heartbeat() {
 
 std::uint64_t placer::compute_digest() const {
     state_digest d;
-    d.mix_string("gpf-placer-state-v2");
+    d.mix_string("gpf-placer-state-v3");
     // Every option that steers the trajectory. Deliberately excluded:
     // time_budget and max_transform_seconds (wall-clock guards that may
     // legitimately differ between the original and the resuming process),
@@ -1339,37 +1311,21 @@ std::uint64_t placer::compute_digest() const {
     d.mix_f64(options_.force_scale_k);
     d.mix_u64(static_cast<std::uint64_t>(options_.scaling));
     d.mix_u64(static_cast<std::uint64_t>(options_.mode));
-    d.mix_f64(options_.max_step_fraction);
     d.mix_u64(options_.wire_relax_interval);
-    d.mix_f64(options_.wire_relax_weight);
     d.mix_u64(options_.max_iterations);
     d.mix_u64(options_.density_bins);
-    d.mix_u64(options_.coarse_full_bin_limit);
     d.mix_f64(options_.spread_factor);
     d.mix_f64(options_.empty_threshold);
     d.mix_u64(options_.min_iterations);
     d.mix_u64(options_.plateau_window);
     d.mix_f64(options_.plateau_tolerance);
-    d.mix_u64(options_.clamp_to_region ? 1 : 0);
     d.mix_u64(options_.iteration_cache ? 1 : 0);
-    d.mix_u64(options_.warm_start_cg ? 1 : 0);
     d.mix_u64(options_.coarsen_levels);
-    d.mix_f64(options_.cluster_max_area_ratio);
     d.mix_u64(options_.min_coarse_cells);
-    d.mix_u64(options_.max_retries);
-    d.mix_u64(options_.max_rollbacks);
-    d.mix_u64(options_.snapshot_interval);
-    d.mix_u64(options_.snapshot_depth);
-    d.mix_f64(options_.overflow_spike_factor);
-    d.mix_f64(options_.cg_stall_residual);
     d.mix_u64(static_cast<std::uint64_t>(options_.net_model.kind));
     d.mix_u64(options_.net_model.star_threshold);
     d.mix_u64(options_.net_model.linearize ? 1 : 0);
     d.mix_f64(options_.net_model.min_length_fraction);
-    d.mix_f64(options_.cg.tolerance);
-    d.mix_u64(options_.cg.max_iterations);
-    d.mix_u64(static_cast<std::uint64_t>(options_.cg.preconditioner));
-    d.mix_f64(options_.cg.ssor_omega);
     // Netlist identity: region, geometry and connectivity. Names are
     // omitted — they appear in diagnostics, never in the trajectory.
     const rect region = nl_.region();

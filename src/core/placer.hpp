@@ -65,30 +65,16 @@ struct placer_options {
     /// on the soft translational mode.
     enum class force_mode { hold_and_move, accumulate };
     force_mode mode = force_mode::hold_and_move;
-    /// Per-transformation displacement cap as a fraction of (W+H); the
-    /// trust region that keeps strong near-pile fields from throwing cells
-    /// across the chip in one step (hold_and_move mode only).
-    double max_step_fraction = 0.03;
     /// Wire relaxation: every `wire_relax_interval` transformations solve
-    ///   (C + β·W̃) p = −d + β·W̃·p_cur ,  W̃ = diag(C), β = wire_relax_weight
+    ///   (C + β·W̃) p = −d + β·W̃·p_cur ,  W̃ = diag(C), β = 0.05
     /// — the full quadratic wire objective with per-cell anchors at the
     /// current positions. This re-tightens wire length that spreading
     /// stretched, while the anchors approximately preserve the density
     /// distribution (the next density steps correct any damage). 0
     /// disables (ECO flows must, to stay local).
     std::size_t wire_relax_interval = 1;
-    double wire_relax_weight = 0.05;
     std::size_t max_iterations = 200;
     std::size_t density_bins = 4096;     ///< target total bin count
-    /// Multilevel coarse levels historically ratio-scaled density_bins by
-    /// the coarse/fine movable-cell ratio to keep per-convolve FFT cost
-    /// bounded. With the packed r2c spectral path a convolution at up to
-    /// this many bins is under budget (256×256 runs in single-digit ms
-    /// single-threaded), so coarse levels keep the full grid — better
-    /// force resolution for bulk spreading — and only ratio-scale when
-    /// density_bins exceeds this limit. 0 restores the old always-scale
-    /// behavior.
-    std::size_t coarse_full_bin_limit = std::size_t{1} << 16;
     double spread_factor = 4.0;          ///< stop: empty square area <= factor * avg cell area
     double empty_threshold = 0.05;       ///< bin demand below this counts as empty
     std::size_t min_iterations = 2;      ///< run at least this many transformations
@@ -99,7 +85,6 @@ struct placer_options {
     /// same contract partitioning-based global placers (GORDIAN) have.
     std::size_t plateau_window = 20;
     double plateau_tolerance = 2e-3;
-    bool clamp_to_region = true;         ///< project cell centers back into the core
     /// Iteration-persistent caches threaded through the transformation
     /// loop (DESIGN.md §7): the spectral force-field kernels are built
     /// once per grid, the density stamped for the stopping criterion seeds
@@ -108,12 +93,6 @@ struct placer_options {
     /// (tests/test_transform_cache.cpp); the switch exists for that
     /// equivalence test and as a safety valve.
     bool iteration_cache = true;
-    /// Warm-start the hold-and-move displacement solves from the previous
-    /// transformation's displacement instead of zero. Deterministic for
-    /// any thread count, but the CG iterate trajectory differs from a
-    /// cold start, so placements are *not* bitwise comparable to the
-    /// default cold-start path; off by default.
-    bool warm_start_cg = false;
 
     // --- Multilevel V-cycle (DESIGN.md §11) -------------------------------
     /// Number of coarsening levels. 0 (default) runs today's flat loop —
@@ -125,36 +104,17 @@ struct placer_options {
     /// the next finer level; the finest level runs with the exact flat
     /// options. Deterministic for any GPF_THREADS value.
     std::size_t coarsen_levels = 0;
-    /// Cluster area cap: a merge may not exceed this multiple of the
-    /// level's average movable-cell area.
-    double cluster_max_area_ratio = 4.0;
     /// Coarsening stops once a level has at most this many movable cells.
     std::size_t min_coarse_cells = 500;
 
     // --- Recovery engine (DESIGN.md §9) -----------------------------------
     // After every transformation a health check runs: finite coordinates,
     // CG progress, no runaway overflow. The checks are pure reads and the
-    // ladder below engages only when one fails, so a healthy run is
-    // bitwise identical — at every thread count — to a build without the
-    // recovery layer.
-    /// Rung 1: re-run an unhealthy transformation this many times with
-    /// Jacobi preconditioning forced on and max_step_fraction halved.
-    std::size_t max_retries = 1;
-    /// Rung 2: after failed retries, restore the most recent healthy
-    /// snapshot with force_scale_k halved; at most this many times per
-    /// run. Rung 3 (stop, return the best-so-far placement) follows.
-    std::size_t max_rollbacks = 2;
-    /// Keep every `snapshot_interval`-th healthy placement, at most
-    /// `snapshot_depth` of them, as rollback targets.
-    std::size_t snapshot_interval = 1;
-    std::size_t snapshot_depth = 3;
-    /// Unhealthy when the overflow area exceeds the previous healthy
-    /// iteration's by this factor (and is non-trivial in absolute terms).
-    double overflow_spike_factor = 8.0;
-    /// A non-converged CG solve counts as an incident only when its
-    /// relative residual is at least this (no real progress) or is
-    /// non-finite; merely-loose solves log a warning and continue.
-    double cg_stall_residual = 0.5;
+    // ladder (tightened retry, rollback, best-so-far stop; its limits are
+    // constants in placer.cpp) engages only when one fails, so a healthy
+    // run is bitwise identical — at every thread count — to a build
+    // without the recovery layer. The resource guards below feed the same
+    // ladder.
     /// Wall-clock budget for run()/run_from() in seconds; when exceeded
     /// the run ends through the best-so-far path. 0 = unlimited.
     double time_budget = 0.0;
@@ -188,15 +148,11 @@ struct placer_options {
     const std::atomic<bool>* stop_flag = nullptr;
 
     net_model_options net_model;
-    /// Solver options of every placer solve. displacement_tolerance is
-    /// ignored: the placer derives it from the density bin width for its
-    /// anchored solves and leaves it off elsewhere (DESIGN.md §6).
-    cg_options cg;
 };
 
 /// One rung of the recovery ladder having engaged (DESIGN.md §9).
 enum class recovery_action {
-    retry_tightened, ///< transformation re-run, Jacobi + halved step cap
+    retry_tightened, ///< transformation re-run with a halved step cap
     rollback,        ///< restored a healthy snapshot, halved force_scale_k
     stop_best,       ///< run ended, best-so-far placement returned
     level_fallback,  ///< a coarse level failed; continuing at the finer level
@@ -370,7 +326,7 @@ private:
     void bump_heartbeat();
     std::uint64_t compute_digest() const;
     std::pair<std::size_t, std::size_t> density_dims() const;
-    /// options.cg for one placer solve. Anchored solves (hold-and-move,
+    /// cg_options for one placer solve. Anchored solves (hold-and-move,
     /// wire relaxation) get the displacement stop at a fixed fraction of
     /// this placer's density bin width: their shift s bounds the error by
     /// the Jacobi correction over min s/D (1/2 and β/(1+β)). Unanchored
@@ -418,7 +374,10 @@ private:
     std::vector<double> rhs_x_, rhs_y_;       ///< hold-and-move rhs workspaces
     std::vector<double> full_diag_x_, full_diag_y_;
     std::vector<double> shift_x_, shift_y_;   ///< wire-relax β·diag(C) workspaces
-    std::vector<double> delta_x_, delta_y_;   ///< displacement (warm-start state)
+    std::vector<double> delta_x_, delta_y_;   ///< hold-and-move displacement workspaces
+    /// Set by the recovery ladder's tightened retry; the next transform()
+    /// clears it and halves its trust region (the per-step displacement cap).
+    bool halve_step_ = false;
 };
 
 } // namespace gpf

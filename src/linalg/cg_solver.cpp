@@ -98,97 +98,12 @@ void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y) {
 
 namespace {
 
-/// Applies M^{-1} r for the selected preconditioner of A + diag(shift).
-class preconditioner {
-public:
-    preconditioner(const sliced_matrix& a, const cg_options& options,
-                   const std::vector<double>* cached_diagonal,
-                   const std::vector<double>* shift)
-        : a_(a), kind_(options.preconditioner), omega_(options.ssor_omega) {
-        if (kind_ != preconditioner_kind::none) {
-            if (cached_diagonal != nullptr) {
-                GPF_CHECK(cached_diagonal->size() == a.rows());
-                diag_ = cached_diagonal->data();
-            } else {
-                diag_own_ = a.diagonal();
-                if (shift != nullptr) {
-                    for (std::size_t i = 0; i < a.rows(); ++i) diag_own_[i] += (*shift)[i];
-                }
-                diag_ = diag_own_.data();
-            }
-            for (std::size_t i = 0; i < a.rows(); ++i) {
-                GPF_CHECK_MSG(diag_[i] > 0.0,
-                              "preconditioner requires positive diagonal");
-            }
-        }
-    }
-
-    /// The Jacobi divisor, or nullptr for the other kinds.
-    const double* jacobi_diagonal() const {
-        return kind_ == preconditioner_kind::jacobi ? diag_ : nullptr;
-    }
-
-    void apply(const std::vector<double>& r, std::vector<double>& z) const {
-        switch (kind_) {
-            case preconditioner_kind::none:
-                z = r;
-                return;
-            case preconditioner_kind::jacobi:
-                z.resize(r.size());
-                for (std::size_t i = 0; i < r.size(); ++i) z[i] = r[i] / diag_[i];
-                return;
-            case preconditioner_kind::ssor:
-                apply_ssor(r, z);
-                return;
-        }
-    }
-
-private:
-    // z = (D/w + L)^{-T} D (D/w + L)^{-1} r, scaled; one forward and one
-    // backward Gauss-Seidel-like sweep. D is the shifted diagonal; L and
-    // U are A's strict triangles (the shift has none).
-    void apply_ssor(const std::vector<double>& r, std::vector<double>& z) const {
-        const std::size_t n = r.size();
-
-        std::vector<double> y(n, 0.0);
-        // forward sweep: (D/w + L) y = r
-        for (std::size_t i = 0; i < n; ++i) {
-            double acc = r[i];
-            const sliced_matrix::row_view row = a_.row(i);
-            for (std::size_t k = 0; k < row.size; ++k) {
-                const std::size_t j = row.column(k);
-                if (j < i) acc -= row.value(k) * y[j];
-            }
-            y[i] = acc * omega_ / diag_[i];
-        }
-        // scale by D/w
-        for (std::size_t i = 0; i < n; ++i) y[i] *= diag_[i] / omega_;
-        // backward sweep: (D/w + U) z = y
-        z.assign(n, 0.0);
-        for (std::size_t ii = n; ii-- > 0;) {
-            double acc = y[ii];
-            const sliced_matrix::row_view row = a_.row(ii);
-            for (std::size_t k = 0; k < row.size; ++k) {
-                const std::size_t j = row.column(k);
-                if (j > ii) acc -= row.value(k) * z[j];
-            }
-            z[ii] = acc * omega_ / diag_[ii];
-        }
-    }
-
-    const sliced_matrix& a_;
-    preconditioner_kind kind_;
-    double omega_;
-    const double* diag_ = nullptr;  ///< caller-cached or diag_own_
-    std::vector<double> diag_own_;
-};
-
 /// The vector work of one CG step after the multiply, as one pass over
 /// dot()'s fixed slabs: per slab, the cg_update kernel does x += αp,
-/// r −= α·Ap, then — with a Jacobi divisor — z = r / diag and the slab's
-/// r·z, and always the slab's r·r. cg_update is bitwise the separate
-/// axpy / divide / dot kernels, so merging the partials with merge_slabs
-/// gives bit for bit dot(r, z) and dot(r, r) of the separate passes.
+/// r −= α·Ap, z = r / diag and the slab's r·z and r·r. cg_update is
+/// bitwise the separate axpy / divide / dot kernels, so merging the
+/// partials with merge_slabs gives bit for bit dot(r, z) and dot(r, r) of
+/// the separate passes.
 void fused_update(double alpha, const std::vector<double>& p,
                   const std::vector<double>& ap, const double* jacobi,
                   std::vector<double>& x, std::vector<double>& r,
@@ -198,10 +113,9 @@ void fused_update(double alpha, const std::vector<double>& p,
     parallel_for(slab_count(n), [&](std::size_t s) {
         const std::size_t begin = s * deterministic_sum_slab;
         const std::size_t len = std::min(n, begin + deterministic_sum_slab) - begin;
-        kern.cg_update(alpha, p.data() + begin, ap.data() + begin,
-                       jacobi == nullptr ? nullptr : jacobi + begin, x.data() + begin,
-                       r.data() + begin, z.data() + begin, len, part_rz + s,
-                       part_rr + s);
+        kern.cg_update(alpha, p.data() + begin, ap.data() + begin, jacobi + begin,
+                       x.data() + begin, r.data() + begin, z.data() + begin, len,
+                       part_rz + s, part_rr + s);
     });
 }
 
@@ -231,13 +145,25 @@ cg_result cg_solve(const sliced_matrix& a, const std::vector<double>& b,
 
     const std::size_t max_iter =
         options.max_iterations > 0 ? options.max_iterations : 10 * n + 100;
-    preconditioner precond(a, options, diagonal, shift);
-    const double* jacobi = precond.jacobi_diagonal();
+    // Jacobi preconditioner: the diagonal of A + diag(shift), the caller's
+    // cached copy when given.
+    std::vector<double> diag_own;
+    if (diagonal != nullptr) {
+        GPF_CHECK(diagonal->size() == n);
+    } else {
+        diag_own = a.diagonal();
+        if (shift != nullptr) {
+            for (std::size_t i = 0; i < n; ++i) diag_own[i] += (*shift)[i];
+        }
+    }
+    const double* jacobi = diagonal != nullptr ? diagonal->data() : diag_own.data();
+    for (std::size_t i = 0; i < n; ++i) {
+        GPF_CHECK_MSG(jacobi[i] > 0.0, "preconditioner requires positive diagonal");
+    }
     // Displacement stop (cg_options::displacement_tolerance): with the
     // Jacobi divisor D the rz of every step is rᵀD⁻¹r, so the rule costs
     // one fixed-slab sum of D per solve and no extra pass per iteration.
-    const bool displacement_stop =
-        jacobi != nullptr && options.displacement_tolerance > 0.0;
+    const bool displacement_stop = options.displacement_tolerance > 0.0;
     const double diag_sum =
         displacement_stop
             ? deterministic_sum(n, [&](std::size_t i) { return jacobi[i]; })
@@ -250,9 +176,10 @@ cg_result cg_solve(const sliced_matrix& a, const std::vector<double>& b,
 
     std::vector<double> r(n), z(n), p(n), ap(n);
     a.multiply(x, ap, shift);
-    for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
-
-    precond.apply(r, z);
+    for (std::size_t i = 0; i < n; ++i) {
+        r[i] = b[i] - ap[i];
+        z[i] = r[i] / jacobi[i];
+    }
     p = z;
     double rz = slab_dot(r.data(), z.data(), n, part_rz);
     double rr = slab_dot(r.data(), r.data(), n, part_rr);
@@ -271,13 +198,7 @@ cg_result cg_solve(const sliced_matrix& a, const std::vector<double>& b,
         const double alpha = rz / pap;
         fused_update(alpha, p, ap, jacobi, x, r, z, part_rz, part_rr);
         rr = merge_slabs(part_rr, slabs);
-        double rz_new;
-        if (jacobi != nullptr) {
-            rz_new = merge_slabs(part_rz, slabs);
-        } else {
-            precond.apply(r, z);
-            rz_new = slab_dot(r.data(), z.data(), n, part_rz);
-        }
+        const double rz_new = merge_slabs(part_rz, slabs);
         const double beta = rz_new / rz;
         rz = rz_new;
         parallel_for_chunks(

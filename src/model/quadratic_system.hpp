@@ -60,7 +60,7 @@ public:
     const std::vector<double>& rhs_y() const { return by_; }
 
     /// Main diagonals of matrix_x()/matrix_y(), cached by assemble() so
-    /// per-solve callers (hold-and-move, wire relaxation, Jacobi/SSOR
+    /// per-solve callers (hold-and-move, wire relaxation, Jacobi
     /// preconditioning) never pay an allocating diagonal() walk.
     const std::vector<double>& diagonal_x() const;
     const std::vector<double>& diagonal_y() const;

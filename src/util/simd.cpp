@@ -25,10 +25,6 @@ void xpby_scalar(const double* z, double beta, double* p, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
 }
 
-void accumulate_scalar(const double* src, double* dst, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
-}
-
 void add_scalar_scalar(double* dst, double c, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) dst[i] += c;
 }
@@ -61,10 +57,8 @@ void cg_update_scalar(double alpha, const double* p, const double* ap,
                       std::size_t n, double* rz, double* rr) {
     axpy_scalar(alpha, p, x, n);
     axpy_scalar(-alpha, ap, r, n);
-    if (d != nullptr) {
-        for (std::size_t i = 0; i < n; ++i) z[i] = r[i] / d[i];
-        *rz = dot_scalar(r, z, n);
-    }
+    for (std::size_t i = 0; i < n; ++i) z[i] = r[i] / d[i];
+    *rz = dot_scalar(r, z, n);
     *rr = dot_scalar(r, r, n);
 }
 
@@ -226,7 +220,6 @@ constexpr simd_kernels scalar_table = {
     "scalar",
     detail::axpy_scalar,
     detail::xpby_scalar,
-    detail::accumulate_scalar,
     detail::add_scalar_scalar,
     detail::scale_scalar,
     detail::dot_scalar,

@@ -16,7 +16,7 @@
 // across GPF_SIMD settings exactly as they are across GPF_THREADS
 // (DESIGN.md §13):
 //
-//   * Elementwise kernels (axpy, xpby, accumulate, scale, cmul, FFT
+//   * Elementwise kernels (axpy, xpby, add_scalar, scale, cmul, FFT
 //     butterflies) evaluate the same per-element expression with plain
 //     IEEE multiplies and adds. FMA contraction is disabled in every
 //     kernel translation unit (-ffp-contract=off and no -mfma), because
@@ -81,18 +81,17 @@ struct simd_kernels {
     void (*axpy)(double alpha, const double* x, double* y, std::size_t n);
     /// p[i] = z[i] + beta * p[i]
     void (*xpby)(const double* z, double beta, double* p, std::size_t n);
-    /// dst[i] += src[i]
-    void (*accumulate)(const double* src, double* dst, std::size_t n);
     /// dst[i] += c (the full-bin span add of the density row-run stamper)
     void (*add_scalar)(double* dst, double c, std::size_t n);
     /// p[i] *= s
     void (*scale)(double* p, double s, std::size_t n);
     /// sum_i a[i] * b[i], fixed 4-lane reduction (see header comment)
     double (*dot)(const double* a, const double* b, std::size_t n);
-    /// Fused CG step update over one slab of n elements: x += alpha·p,
-    /// r += (−alpha)·ap, then — when d is non-null — z = r / d and *rz =
-    /// r·z, and always *rr = r·r. Every element and both sums are bitwise
-    /// what axpy, axpy, the division loop, dot and dot give one by one.
+    /// Fused Jacobi-preconditioned CG step update over one slab of n
+    /// elements: x += alpha·p, r += (−alpha)·ap, z = r / d, *rz = r·z and
+    /// *rr = r·r; d (the Jacobi diagonal) is never null. Every element and
+    /// both sums are bitwise what axpy, axpy, the division loop, dot and
+    /// dot give one by one.
     void (*cg_update)(double alpha, const double* p, const double* ap,
                       const double* d, double* x, double* r, double* z,
                       std::size_t n, double* rz, double* rr);

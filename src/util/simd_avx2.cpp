@@ -51,15 +51,6 @@ void xpby_avx2(const double* z, double beta, double* p, std::size_t n) {
     xpby_scalar(z + m, beta, p + m, n - m);
 }
 
-void accumulate_avx2(const double* src, double* dst, std::size_t n) {
-    const std::size_t m = n & ~std::size_t{3};
-    for (std::size_t i = 0; i < m; i += 4) {
-        _mm256_storeu_pd(
-            dst + i, _mm256_add_pd(_mm256_loadu_pd(dst + i), _mm256_loadu_pd(src + i)));
-    }
-    accumulate_scalar(src + m, dst + m, n - m);
-}
-
 void add_scalar_avx2(double* dst, double c, std::size_t n) {
     const __m256d vc = _mm256_set1_pd(c);
     const std::size_t m = n & ~std::size_t{3};
@@ -201,7 +192,6 @@ constexpr simd_kernels avx2_table = {
     "avx2",
     axpy_avx2,
     xpby_avx2,
-    accumulate_avx2,
     add_scalar_avx2,
     scale_avx2,
     dot_x86,

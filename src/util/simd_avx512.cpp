@@ -100,15 +100,6 @@ void xpby_avx512(const double* z, double beta, double* p, std::size_t n) {
     xpby_scalar(z + m, beta, p + m, n - m);
 }
 
-void accumulate_avx512(const double* src, double* dst, std::size_t n) {
-    const std::size_t m = n & ~std::size_t{7};
-    for (std::size_t i = 0; i < m; i += 8) {
-        _mm512_storeu_pd(
-            dst + i, _mm512_add_pd(_mm512_loadu_pd(dst + i), _mm512_loadu_pd(src + i)));
-    }
-    accumulate_scalar(src + m, dst + m, n - m);
-}
-
 void add_scalar_avx512(double* dst, double c, std::size_t n) {
     const __m512d vc = _mm512_set1_pd(c);
     const std::size_t m = n & ~std::size_t{7};
@@ -325,7 +316,6 @@ constexpr simd_kernels avx512_table = {
     "avx512",
     axpy_avx512,
     xpby_avx512,
-    accumulate_avx512,
     add_scalar_avx512,
     scale_avx512,
     dot_x86,

@@ -29,7 +29,6 @@ const simd_kernels* simd_neon_table();
 
 void axpy_scalar(double alpha, const double* x, double* y, std::size_t n);
 void xpby_scalar(const double* z, double beta, double* p, std::size_t n);
-void accumulate_scalar(const double* src, double* dst, std::size_t n);
 void add_scalar_scalar(double* dst, double c, std::size_t n);
 void scale_scalar(double* p, double s, std::size_t n);
 double dot_scalar(const double* a, const double* b, std::size_t n);

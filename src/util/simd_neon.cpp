@@ -67,15 +67,6 @@ void xpby_neon(const double* z, double beta, double* p, std::size_t n) {
     xpby_scalar(z + m, beta, p + m, n - m);
 }
 
-void accumulate_neon(const double* src, double* dst, std::size_t n) {
-    const std::size_t m = n & ~std::size_t{3};
-    for (std::size_t i = 0; i < m; i += 4) {
-        vst1q_f64(dst + i, vaddq_f64(vld1q_f64(dst + i), vld1q_f64(src + i)));
-        vst1q_f64(dst + i + 2, vaddq_f64(vld1q_f64(dst + i + 2), vld1q_f64(src + i + 2)));
-    }
-    accumulate_scalar(src + m, dst + m, n - m);
-}
-
 void add_scalar_neon(double* dst, double c, std::size_t n) {
     const float64x2_t vc = vdupq_n_f64(c);
     const std::size_t m = n & ~std::size_t{3};
@@ -190,10 +181,8 @@ void cg_update_neon(double alpha, const double* p, const double* ap, const doubl
                     double* rr) {
     axpy_neon(alpha, p, x, n);
     axpy_neon(-alpha, ap, r, n);
-    if (d != nullptr) {
-        for (std::size_t i = 0; i < n; ++i) z[i] = r[i] / d[i];
-        *rz = dot_neon(r, z, n);
-    }
+    for (std::size_t i = 0; i < n; ++i) z[i] = r[i] / d[i];
+    *rz = dot_neon(r, z, n);
     *rr = dot_neon(r, r, n);
 }
 
@@ -202,7 +191,6 @@ constexpr simd_kernels neon_table = {
     "neon",
     axpy_neon,
     xpby_neon,
-    accumulate_neon,
     add_scalar_neon,
     scale_neon,
     dot_neon,

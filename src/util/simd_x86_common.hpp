@@ -83,10 +83,9 @@ static inline double dot_x86(const double* a, const double* b, std::size_t n) {
 /// cg_update on 256-bit registers: the axpy pair, the division and both
 /// dot products in one loop, with dot_x86's accumulator shape for each
 /// sum (two independent chains, so their add latencies overlap).
-template <bool Jacobi>
-static inline void cg_update_x86_impl(double alpha, const double* p, const double* ap,
-                                      const double* d, double* x, double* r, double* z,
-                                      std::size_t n, double* rz, double* rr) {
+static inline void cg_update_x86(double alpha, const double* p, const double* ap,
+                                 const double* d, double* x, double* r, double* z,
+                                 std::size_t n, double* rz, double* rr) {
     const __m256d va = _mm256_set1_pd(alpha);
     const __m256d vna = _mm256_set1_pd(-alpha);
     __m256d acc_rz = _mm256_setzero_pd();
@@ -98,11 +97,9 @@ static inline void cg_update_x86_impl(double alpha, const double* p, const doubl
         const __m256d rv = _mm256_add_pd(_mm256_loadu_pd(r + i),
                                          _mm256_mul_pd(vna, _mm256_loadu_pd(ap + i)));
         _mm256_storeu_pd(r + i, rv);
-        if constexpr (Jacobi) {
-            const __m256d zv = _mm256_div_pd(rv, _mm256_loadu_pd(d + i));
-            _mm256_storeu_pd(z + i, zv);
-            acc_rz = _mm256_add_pd(acc_rz, _mm256_mul_pd(rv, zv));
-        }
+        const __m256d zv = _mm256_div_pd(rv, _mm256_loadu_pd(d + i));
+        _mm256_storeu_pd(z + i, zv);
+        acc_rz = _mm256_add_pd(acc_rz, _mm256_mul_pd(rv, zv));
         acc_rr = _mm256_add_pd(acc_rr, _mm256_mul_pd(rv, rv));
     }
     double sum_rz = reduce_lanes(acc_rz);
@@ -110,24 +107,12 @@ static inline void cg_update_x86_impl(double alpha, const double* p, const doubl
     for (std::size_t i = m; i < n; ++i) {
         x[i] += alpha * p[i];
         r[i] += -alpha * ap[i];
-        if constexpr (Jacobi) {
-            z[i] = r[i] / d[i];
-            sum_rz += r[i] * z[i];
-        }
+        z[i] = r[i] / d[i];
+        sum_rz += r[i] * z[i];
         sum_rr += r[i] * r[i];
     }
-    if constexpr (Jacobi) *rz = sum_rz;
+    *rz = sum_rz;
     *rr = sum_rr;
-}
-
-static inline void cg_update_x86(double alpha, const double* p, const double* ap,
-                                 const double* d, double* x, double* r, double* z,
-                                 std::size_t n, double* rz, double* rr) {
-    if (d != nullptr) {
-        cg_update_x86_impl<true>(alpha, p, ap, d, x, r, z, n, rz, rr);
-    } else {
-        cg_update_x86_impl<false>(alpha, p, ap, d, x, r, z, n, rz, rr);
-    }
 }
 
 // --- 256-bit FFT butterfly passes -----------------------------------------

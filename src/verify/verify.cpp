@@ -147,8 +147,7 @@ namespace {
 /// Shared head of the placement validators; returns false when the
 /// placement is unusable (size mismatch) and per-cell checks must stop.
 bool check_placement_common(const netlist& nl, const placement& pl,
-                            const verify_options& opt, bool require_in_region,
-                            verify_report& report) {
+                            const verify_options& opt, verify_report& report) {
     if (pl.size() != nl.num_cells()) {
         report.add("placement", "has " + std::to_string(pl.size()) +
                                     " positions for " +
@@ -173,8 +172,7 @@ bool check_placement_common(const netlist& nl, const placement& pl,
             }
             continue;
         }
-        if (require_in_region && c.kind != cell_kind::pad &&
-            !grown.contains(pl[i])) {
+        if (c.kind != cell_kind::pad && !grown.contains(pl[i])) {
             report.add(where, "center " + fmt(pl[i]) + " outside region");
         }
     }
@@ -186,14 +184,14 @@ bool check_placement_common(const netlist& nl, const placement& pl,
 verify_report verify_global_placement(const netlist& nl, const placement& pl,
                                       const verify_options& opt) {
     verify_report report;
-    check_placement_common(nl, pl, opt, opt.check_in_region, report);
+    check_placement_common(nl, pl, opt, report);
     return report;
 }
 
 verify_report verify_legal_placement(const netlist& nl, const placement& pl,
                                      const verify_options& opt) {
     verify_report report;
-    if (!check_placement_common(nl, pl, opt, /*require_in_region=*/true, report)) {
+    if (!check_placement_common(nl, pl, opt, report)) {
         return report;
     }
     const rect region = nl.region();

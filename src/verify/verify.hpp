@@ -64,9 +64,6 @@ struct verify_options {
     /// region protrusion and overlap penetration below this are accepted
     /// (legalizers compute row positions in floating point).
     double tolerance = 1e-6;
-    /// Global-placement check: movable cell centers must lie inside the
-    /// region. Disable when running the placer with clamp_to_region off.
-    bool check_in_region = true;
     /// Netlist feasibility checks (the ∫D ≈ 0 preconditions): total
     /// non-pad cell area must fit into the region, and fixed non-pad
     /// cells must lie inside it — an overfull region or a supply sink
@@ -84,8 +81,8 @@ struct verify_options {
 verify_report verify_netlist(const netlist& nl, const verify_options& opt = {});
 
 /// Postconditions of a global-placement stage: one coordinate per cell,
-/// all coordinates finite, fixed cells at their constraint position and,
-/// when check_in_region, movable cell centers inside the region.
+/// all coordinates finite, fixed cells at their constraint position and
+/// movable non-pad cell centers inside the region.
 verify_report verify_global_placement(const netlist& nl, const placement& pl,
                                       const verify_options& opt = {});
 

@@ -321,13 +321,77 @@ TEST_F(CheckpointResume, DigestMismatchIsRejected) {
     EXPECT_THROW((void)reader2.resume(path_), checkpoint_error);
 }
 
+struct digest_field {
+    const char* name;
+    void (*change)(placer_options&);
+};
+
+// Every settable placer_options value, split by whether it steers the
+// trajectory (and so must be bound by the checkpoint digest) or only
+// observes or guards the run (and must not be, so a resuming process may
+// change it).
+const digest_field kSteeringFields[] = {
+    {"force_scale_k", [](placer_options& o) { o.force_scale_k = 1.0; }},
+    {"scaling",
+     [](placer_options& o) { o.scaling = placer_options::force_scaling::paper_normalized; }},
+    {"mode", [](placer_options& o) { o.mode = placer_options::force_mode::accumulate; }},
+    {"wire_relax_interval", [](placer_options& o) { o.wire_relax_interval = 2; }},
+    {"max_iterations", [](placer_options& o) { o.max_iterations = 13; }},
+    {"density_bins", [](placer_options& o) { o.density_bins = 1024; }},
+    {"spread_factor", [](placer_options& o) { o.spread_factor = 3.0; }},
+    {"empty_threshold", [](placer_options& o) { o.empty_threshold = 0.1; }},
+    {"min_iterations", [](placer_options& o) { o.min_iterations = 3; }},
+    {"plateau_window", [](placer_options& o) { o.plateau_window = 5; }},
+    {"plateau_tolerance", [](placer_options& o) { o.plateau_tolerance = 1e-2; }},
+    {"iteration_cache", [](placer_options& o) { o.iteration_cache = false; }},
+    {"coarsen_levels", [](placer_options& o) { o.coarsen_levels = 1; }},
+    {"min_coarse_cells", [](placer_options& o) { o.min_coarse_cells = 100; }},
+    {"net_model.kind", [](placer_options& o) { o.net_model.kind = net_model_kind::hybrid; }},
+    {"net_model.star_threshold", [](placer_options& o) { o.net_model.star_threshold = 8; }},
+    {"net_model.linearize", [](placer_options& o) { o.net_model.linearize = false; }},
+    {"net_model.min_length_fraction",
+     [](placer_options& o) { o.net_model.min_length_fraction = 1e-3; }},
+};
+
+const digest_field kObservingFields[] = {
+    {"time_budget", [](placer_options& o) { o.time_budget = 10.0; }},
+    {"max_transform_seconds", [](placer_options& o) { o.max_transform_seconds = 5.0; }},
+    {"checkpoint_path", [](placer_options& o) { o.checkpoint_path = "elsewhere.ckpt"; }},
+    {"checkpoint_interval", [](placer_options& o) { o.checkpoint_interval = 4; }},
+    {"heartbeat_path", [](placer_options& o) { o.heartbeat_path = "elsewhere.hb"; }},
+    {"stop_flag",
+     [](placer_options& o) {
+         static const std::atomic<bool> flag{false};
+         o.stop_flag = &flag;
+     }},
+};
+
+TEST(CheckpointDigest, EverySteeringOptionChangesTheDigest) {
+    const netlist nl = test_circuit(180, 39);
+    const placer_options base = short_run_options();
+    const std::uint64_t base_digest = placer(nl, base).checkpoint_digest();
+    for (const digest_field& field : kSteeringFields) {
+        placer_options changed = base;
+        field.change(changed);
+        EXPECT_NE(placer(nl, changed).checkpoint_digest(), base_digest) << field.name;
+    }
+    for (const digest_field& field : kObservingFields) {
+        placer_options changed = base;
+        field.change(changed);
+        EXPECT_EQ(placer(nl, changed).checkpoint_digest(), base_digest) << field.name;
+    }
+}
+
 TEST_F(CheckpointResume, CheckpointOfThePreviousStateTagIsRejected) {
     // The state tag moved to v2 with the resolution-aware CG stop, which
-    // changes every trajectory. 0x8beba8afae79e546 is the digest the v1
-    // tag gave this very placer: a checkpoint stamped with it was written
-    // by the earlier solver and must be refused by the digest check, not
-    // resumed onto a different trajectory.
+    // changed every trajectory, and to v3 when the warm-start
+    // displacements left the payload. 0x8beba8afae79e546 and
+    // 0x42743c02dfdd34e7 are the digests the v1 and v2 tags gave this very
+    // placer: a checkpoint stamped with either was written by an earlier
+    // build and must be refused by the digest check, not resumed onto a
+    // different trajectory or misread as a different payload layout.
     constexpr std::uint64_t kV1Digest = 0x8beba8afae79e546ull;
+    constexpr std::uint64_t kV2Digest = 0x42743c02dfdd34e7ull;
     const netlist nl = test_circuit(180, 38);
     placer_options opt = short_run_options();
     opt.checkpoint_path = path_;
@@ -336,21 +400,24 @@ TEST_F(CheckpointResume, CheckpointOfThePreviousStateTagIsRejected) {
         return stats.iteration < 3;
     });
     (void)writer.run();
-    EXPECT_NE(writer.checkpoint_digest(), kV1Digest);
-
-    // The same payload under the v1 digest.
     const checkpoint_blob blob = read_checkpoint_file(path_);
-    std::filesystem::remove(path_ + ".prev");
-    write_checkpoint_file(path_, kV1Digest, blob.payload);
-    std::filesystem::remove(path_ + ".prev");
-    placer reader(nl, opt);
-    try {
-        (void)reader.resume(path_);
-        ADD_FAILURE() << "a v1 checkpoint was resumed";
-    } catch (const checkpoint_error& e) {
-        EXPECT_NE(std::string(e.what()).find("different configuration"),
-                  std::string::npos)
-            << e.what();
+
+    for (const std::uint64_t old_digest : {kV1Digest, kV2Digest}) {
+        SCOPED_TRACE(old_digest);
+        EXPECT_NE(writer.checkpoint_digest(), old_digest);
+        // The same payload under the earlier digest.
+        std::filesystem::remove(path_ + ".prev");
+        write_checkpoint_file(path_, old_digest, blob.payload);
+        std::filesystem::remove(path_ + ".prev");
+        placer reader(nl, opt);
+        try {
+            (void)reader.resume(path_);
+            ADD_FAILURE() << "an earlier state tag's checkpoint was resumed";
+        } catch (const checkpoint_error& e) {
+            EXPECT_NE(std::string(e.what()).find("different configuration"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

@@ -174,9 +174,7 @@ TEST(FaultRecovery, EverySiteRecoversToAVerifierCleanPlacementAtEveryThreadCount
             const placement out = p.run();
 
             expect_finite(nl, out, fault_site_name(sc.site));
-            verify_options vopt;
-            vopt.check_in_region = true;
-            verify_global_placement(nl, out, vopt).require("test_fault recovery");
+            verify_global_placement(nl, out).require("test_fault recovery");
 
             EXPECT_TRUE(p.degraded());
             ASSERT_FALSE(p.recovery_log().empty());

@@ -34,7 +34,6 @@ TEST(Simd, ScalarTableAlwaysAvailableAndComplete) {
     EXPECT_STREQ(table->name, "scalar");
     EXPECT_NE(table->axpy, nullptr);
     EXPECT_NE(table->xpby, nullptr);
-    EXPECT_NE(table->accumulate, nullptr);
     EXPECT_NE(table->scale, nullptr);
     EXPECT_NE(table->dot, nullptr);
     EXPECT_NE(table->cg_update, nullptr);
@@ -92,7 +91,6 @@ TEST(Simd, Avx512TableCompleteWhenAvailable) {
     EXPECT_STREQ(table->name, "avx512");
     EXPECT_NE(table->axpy, nullptr);
     EXPECT_NE(table->xpby, nullptr);
-    EXPECT_NE(table->accumulate, nullptr);
     EXPECT_NE(table->scale, nullptr);
     EXPECT_NE(table->dot, nullptr);
     EXPECT_NE(table->cg_update, nullptr);
@@ -161,11 +159,6 @@ TEST(Simd, ElementwiseKernelsMatchLoops) {
     EXPECT_EQ(std::memcmp(got.data(), expected.data(), n * sizeof(double)), 0);
 
     got = y;
-    for (std::size_t i = 0; i < n; ++i) expected[i] = y[i] + x[i];
-    kern.accumulate(x.data(), got.data(), n);
-    EXPECT_EQ(std::memcmp(got.data(), expected.data(), n * sizeof(double)), 0);
-
-    got = y;
     for (std::size_t i = 0; i < n; ++i) expected[i] = y[i] * -0.3;
     kern.scale(got.data(), -0.3, n);
     EXPECT_EQ(std::memcmp(got.data(), expected.data(), n * sizeof(double)), 0);
@@ -231,8 +224,8 @@ TEST(Simd, ReductionsUseFixedLaneOrder) {
 
 TEST(Simd, CgUpdateMatchesSeparateKernels) {
     // The fused CG update of every available tier must be bitwise the
-    // separate axpy / divide / dot sequence, with and without the Jacobi
-    // divisor, including the loop tail (n odd).
+    // separate axpy / divide / dot sequence, including the loop tail
+    // (n odd).
     prng rng(29);
     const std::size_t n = 1003;
     std::vector<double> p(n), ap(n), d(n), x0(n), r0(n);
@@ -250,26 +243,21 @@ TEST(Simd, CgUpdateMatchesSeparateKernels) {
         const simd_kernels* kern = simd_kernels_for(isa);
         if (kern == nullptr) continue;
         SCOPED_TRACE(simd_isa_name(isa));
-        for (const bool jacobi : {true, false}) {
-            std::vector<double> x = x0, r = r0, z(n, 0.0);
-            std::vector<double> want_x = x0, want_r = r0, want_z(n, 0.0);
-            ref.axpy(alpha, p.data(), want_x.data(), n);
-            ref.axpy(-alpha, ap.data(), want_r.data(), n);
-            double want_rz = 0.0;
-            if (jacobi) {
-                for (std::size_t i = 0; i < n; ++i) want_z[i] = want_r[i] / d[i];
-                want_rz = ref.dot(want_r.data(), want_z.data(), n);
-            }
-            const double want_rr = ref.dot(want_r.data(), want_r.data(), n);
-            double rz = 0.0, rr = 0.0;
-            kern->cg_update(alpha, p.data(), ap.data(), jacobi ? d.data() : nullptr,
-                            x.data(), r.data(), z.data(), n, &rz, &rr);
-            EXPECT_EQ(std::memcmp(x.data(), want_x.data(), n * sizeof(double)), 0);
-            EXPECT_EQ(std::memcmp(r.data(), want_r.data(), n * sizeof(double)), 0);
-            EXPECT_EQ(std::memcmp(z.data(), want_z.data(), n * sizeof(double)), 0);
-            EXPECT_EQ(std::memcmp(&rz, &want_rz, sizeof(double)), 0);
-            EXPECT_EQ(std::memcmp(&rr, &want_rr, sizeof(double)), 0);
-        }
+        std::vector<double> x = x0, r = r0, z(n, 0.0);
+        std::vector<double> want_x = x0, want_r = r0, want_z(n, 0.0);
+        ref.axpy(alpha, p.data(), want_x.data(), n);
+        ref.axpy(-alpha, ap.data(), want_r.data(), n);
+        for (std::size_t i = 0; i < n; ++i) want_z[i] = want_r[i] / d[i];
+        const double want_rz = ref.dot(want_r.data(), want_z.data(), n);
+        const double want_rr = ref.dot(want_r.data(), want_r.data(), n);
+        double rz = 0.0, rr = 0.0;
+        kern->cg_update(alpha, p.data(), ap.data(), d.data(), x.data(), r.data(),
+                        z.data(), n, &rz, &rr);
+        EXPECT_EQ(std::memcmp(x.data(), want_x.data(), n * sizeof(double)), 0);
+        EXPECT_EQ(std::memcmp(r.data(), want_r.data(), n * sizeof(double)), 0);
+        EXPECT_EQ(std::memcmp(z.data(), want_z.data(), n * sizeof(double)), 0);
+        EXPECT_EQ(std::memcmp(&rz, &want_rz, sizeof(double)), 0);
+        EXPECT_EQ(std::memcmp(&rr, &want_rr, sizeof(double)), 0);
     }
 }
 
