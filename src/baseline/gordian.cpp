@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "core/metrics.hpp"
+#include "linalg/cg_solver.hpp"
 #include "model/quadratic_system.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
@@ -20,8 +21,7 @@ struct region {
 
 /// Solve the quadratic system with per-variable anchors to region centers.
 placement solve_anchored(const quadratic_system& sys, const placement& start,
-                         const std::vector<point>& anchor, double anchor_weight,
-                         const cg_options& cg) {
+                         const std::vector<point>& anchor, double anchor_weight) {
     const std::size_t n = sys.num_vars();
     GPF_CHECK(anchor.size() >= sys.num_movable());
 
@@ -44,7 +44,7 @@ placement solve_anchored(const quadratic_system& sys, const placement& start,
         for (std::size_t v = 0; v < sys.num_movable(); ++v) {
             x[v] = is_x ? start[sys.cell_of_var(v)].x : start[sys.cell_of_var(v)].y;
         }
-        cg_solve(a, rhs, x, cg, nullptr, &shift);
+        cg_solve(a, rhs, x, cg_options{}, nullptr, &shift);
         return x;
     };
 
@@ -67,7 +67,7 @@ placement gordian_place(const netlist& nl, const gordian_options& options,
 
     // Level 0: unconstrained global quadratic optimum.
     sys.assemble(current);
-    current = sys.solve(current, {}, {}, options.cg);
+    current = sys.solve(current, {}, {});
 
     const double mean_stiffness = std::max(1e-12, sys.mean_stiffness());
 
@@ -140,7 +140,7 @@ placement gordian_place(const netlist& nl, const gordian_options& options,
             options.anchor_strength * std::pow(2.0, static_cast<double>(level)) *
             mean_stiffness;
         sys.assemble(current);
-        current = solve_anchored(sys, current, anchor, anchor_weight, options.cg);
+        current = solve_anchored(sys, current, anchor, anchor_weight);
 
         if (stats) {
             stats->levels = level + 1;

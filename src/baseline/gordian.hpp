@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "linalg/cg_solver.hpp"
 #include "model/net_models.hpp"
 #include "netlist/netlist.hpp"
 
@@ -28,7 +27,6 @@ struct gordian_options {
     /// stiffness: anchor = strength · 2^L · s̄.
     double anchor_strength = 0.25;
     net_model_options net_model;
-    cg_options cg;
 };
 
 struct gordian_stats {

@@ -120,6 +120,7 @@ const char* recovery_action_name(recovery_action action) {
         case recovery_action::rollback: return "rollback";
         case recovery_action::stop_best: return "stop_best";
         case recovery_action::level_fallback: return "level_fallback";
+        case recovery_action::keep_start: return "keep_start";
     }
     return "unknown";
 }
@@ -400,17 +401,14 @@ placement placer::transform(const placement& current) {
     double cg_residual = worse_residual(res_x.residual, res_y.residual);
 
     // Periodic wire relaxation (see placer_options::wire_relax_interval).
-    // Its system is assembled at the moved placement; that assembly is
-    // timed as assemble, the solves as wire_relax.
+    // It reuses the system assembled at this transformation's input — the
+    // one hold-and-move just solved — so each transformation assembles
+    // exactly once.
     cg_result relax_x;
     cg_result relax_y;
     if (options_.mode == placer_options::force_mode::hold_and_move &&
         options_.wire_relax_interval > 0 &&
         (history_.size() + 1) % options_.wire_relax_interval == 0) {
-        {
-            phase_timer timer(profile_phase::assemble);
-            system_.assemble(next);
-        }
         phase_timer timer(profile_phase::wire_relax);
         std::tie(relax_x, relax_y) = wire_relax(next, anchored);
         cg_converged = cg_converged && relax_x.converged && relax_y.converged;
@@ -810,26 +808,14 @@ placement placer::run_from(placement current, bool reset_forces) {
             if (movable_finite(solved) && solve_ok(init_x) && solve_ok(init_y)) {
                 current = std::move(solved);
             } else {
-                // The initial solve failed; re-solve once, and as the last
-                // resort keep the caller's start placement — slower to
-                // spread, but finite.
+                // The solve is deterministic, so repeating it cannot help:
+                // keep the caller's start placement — slower to spread,
+                // but finite.
                 record_recovery(
-                    st, recovery_action::retry_tightened,
+                    st, recovery_action::keep_start,
                     "initial wire-length solve unhealthy (residual " +
                         fmt_value(worse_residual(init_x.residual, init_y.residual)) +
-                        ")");
-                solved = system_.solve(current, {}, {}, cg, &init_x, &init_y);
-                if (prof.enabled()) {
-                    prof.add_cg_iterations(cg_solve_kind::initial, init_x.iterations,
-                                           init_y.iterations);
-                }
-                if (movable_finite(solved) && solve_ok(init_x) && solve_ok(init_y)) {
-                    current = std::move(solved);
-                } else {
-                    record_recovery(st, recovery_action::rollback,
-                                    "repeated initial solve still unhealthy; "
-                                    "keeping the start placement");
-                }
+                        "); keeping the start placement");
             }
         }
     }
@@ -1150,7 +1136,7 @@ std::vector<recovery_event> get_events(byte_reader& r) {
     for (std::uint64_t i = 0; i < n; ++i) {
         recovery_event e;
         const std::uint8_t action = r.get_u8();
-        if (action > static_cast<std::uint8_t>(recovery_action::level_fallback)) {
+        if (action > static_cast<std::uint8_t>(recovery_action::keep_start)) {
             throw checkpoint_error(
                 "checkpoint payload: unknown recovery action " +
                 std::to_string(action));
@@ -1302,7 +1288,7 @@ void placer::bump_heartbeat() {
 
 std::uint64_t placer::compute_digest() const {
     state_digest d;
-    d.mix_string("gpf-placer-state-v3");
+    d.mix_string("gpf-placer-state-v4");
     // Every option that steers the trajectory. Deliberately excluded:
     // time_budget and max_transform_seconds (wall-clock guards that may
     // legitimately differ between the original and the resuming process),

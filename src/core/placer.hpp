@@ -68,10 +68,12 @@ struct placer_options {
     /// Wire relaxation: every `wire_relax_interval` transformations solve
     ///   (C + β·W̃) p = −d + β·W̃·p_cur ,  W̃ = diag(C), β = 0.05
     /// — the full quadratic wire objective with per-cell anchors at the
-    /// current positions. This re-tightens wire length that spreading
-    /// stretched, while the anchors approximately preserve the density
-    /// distribution (the next density steps correct any damage). 0
-    /// disables (ECO flows must, to stay local).
+    /// current positions. C and d are the ones assembled at the
+    /// transformation's input (the system hold-and-move solved), so a
+    /// transformation assembles once. This re-tightens wire length that
+    /// spreading stretched, while the anchors approximately preserve the
+    /// density distribution (the next density steps correct any damage).
+    /// 0 disables (ECO flows must, to stay local).
     std::size_t wire_relax_interval = 1;
     std::size_t max_iterations = 200;
     std::size_t density_bins = 4096;     ///< target total bin count
@@ -156,9 +158,10 @@ enum class recovery_action {
     rollback,        ///< restored a healthy snapshot, halved force_scale_k
     stop_best,       ///< run ended, best-so-far placement returned
     level_fallback,  ///< a coarse level failed; continuing at the finer level
+    keep_start,      ///< initial wire-length solve failed; run starts from the given placement
 };
 
-/// Canonical name ("retry_tightened", "rollback", "stop_best").
+/// Canonical name ("retry_tightened", "rollback", "stop_best", ...).
 const char* recovery_action_name(recovery_action action);
 
 struct recovery_event {
@@ -333,8 +336,9 @@ private:
     /// solves (the initial wire-length optimum, the accumulate mode's
     /// re-solve) have no such bound and keep only the relative stop.
     cg_options solve_options(bool anchored) const;
-    /// Relaxation solves on the system assembled at pl (the caller
-    /// assembles); returns the (x, y) CG results.
+    /// Relaxation solves anchored at pl on the currently assembled system
+    /// (the transformation's input linearization); returns the (x, y) CG
+    /// results.
     std::pair<cg_result, cg_result> wire_relax(placement& pl, const cg_options& cg);
     /// Health check of one completed transformation: "" when healthy,
     /// otherwise the reason. Pure reads — never touches placer state.

@@ -72,15 +72,15 @@ struct bent_edge {
 };
 
 /// Cheapest horizontal-run row among the candidate single-bend (L) /
-/// double-bend (Z) paths under the current usage. Ties break toward the
-/// earliest candidate (the lower-bend L first), so re-evaluating an edge
-/// whose surroundings did not change reproduces its previous choice.
-std::size_t choose_row(const grid_state& g, std::size_t ax, std::size_t ay,
-                       std::size_t bx, std::size_t by) {
-    std::vector<std::size_t> rows = {ay, by};
-    if (g.opt.use_z_shapes && g.opt.max_z_candidates > 0) {
-        const std::size_t lo = std::min(ay, by);
-        const std::size_t hi = std::max(ay, by);
+/// double-bend (Z, when `z_shapes`) paths under the current usage. Ties
+/// break toward the earliest candidate (the lower-bend L first), so
+/// re-evaluating an edge whose surroundings did not change reproduces its
+/// previous choice.
+std::size_t choose_row(const grid_state& g, const bent_edge& e, bool z_shapes) {
+    std::vector<std::size_t> rows = {e.ay, e.by};
+    if (z_shapes) {
+        const std::size_t lo = std::min(e.ay, e.by);
+        const std::size_t hi = std::max(e.ay, e.by);
         const std::size_t span = hi - lo;
         const std::size_t step =
             std::max<std::size_t>(1, span / (g.opt.max_z_candidates + 1));
@@ -88,10 +88,10 @@ std::size_t choose_row(const grid_state& g, std::size_t ax, std::size_t ay,
     }
 
     double best_cost = std::numeric_limits<double>::infinity();
-    std::size_t best_row = ay;
+    std::size_t best_row = e.ay;
     for (const std::size_t m : rows) {
-        const double cost =
-            g.v_cost(ax, ay, m) + g.h_cost(ax, bx, m) + g.v_cost(bx, m, by);
+        const double cost = g.v_cost(e.ax, e.ay, m) + g.h_cost(e.ax, e.bx, m) +
+                            g.v_cost(e.bx, m, e.by);
         if (cost < best_cost) {
             best_cost = cost;
             best_row = m;
@@ -118,9 +118,9 @@ void uncommit_bent(grid_state& g, const bent_edge& e) {
     }
 }
 
-/// Route one two-pin edge. Straight edges have no routing freedom and are
-/// committed directly; bent edges record their choice in `bent` so the
-/// reroute passes can revisit it.
+/// Route one two-pin edge with an L-shape. Straight edges have no routing
+/// freedom and are committed directly; bent edges record their choice in
+/// `bent` so the reroute passes can revisit it.
 void route_edge(grid_state& g, std::size_t ax, std::size_t ay, std::size_t bx,
                 std::size_t by, std::vector<bent_edge>& bent) {
     if (ax == bx && ay == by) return;
@@ -132,9 +132,38 @@ void route_edge(grid_state& g, std::size_t ax, std::size_t ay, std::size_t bx,
         g.h_commit(ax, bx, ay);
         return;
     }
-    bent_edge e{ax, ay, bx, by, choose_row(g, ax, ay, bx, by)};
+    bent_edge e{ax, ay, bx, by, 0};
+    e.row = choose_row(g, e, /*z_shapes=*/false);
     commit_bent(g, e);
     bent.push_back(e);
+}
+
+/// One rip-up-and-reroute sweep: every bent edge is re-chosen against the
+/// congestion left by all others. Each re-choice is a best response under
+/// the congestion cost, so the sweep descends the same potential the
+/// greedy pass optimizes; an edge whose surroundings did not change
+/// re-derives its previous choice and stays put. Returns whether any edge
+/// moved.
+bool reroute_sweep(grid_state& g, std::vector<bent_edge>& bent, bool z_shapes) {
+    bool changed = false;
+    for (bent_edge& e : bent) {
+        uncommit_bent(g, e);
+        const std::size_t row = choose_row(g, e, z_shapes);
+        changed |= row != e.row;
+        e.row = row;
+        commit_bent(g, e);
+    }
+    return changed;
+}
+
+/// Σ max(0, usage − capacity) over bins and both layers.
+double total_overflow(const grid_state& g) {
+    double overflow = 0.0;
+    for (std::size_t i = 0; i < g.nx * g.ny; ++i) {
+        overflow += std::max(0.0, g.h_usage[i] - g.opt.h_capacity) +
+                    std::max(0.0, g.v_usage[i] - g.opt.v_capacity);
+    }
+    return overflow;
 }
 
 /// Minimum spanning tree over the net's pin positions (Prim, O(k²) — net
@@ -220,29 +249,39 @@ routing_result route_global(const netlist& nl, const placement& pl, const rect& 
         }
     }
 
-    // Rip-up-and-reroute refinement: revisit every bent edge against the
-    // congestion left by all others. Each re-choice is a best response
-    // under the congestion cost, so the sweep descends the same potential
-    // the initial greedy pass optimizes; an edge whose surroundings did
-    // not change re-derives its previous choice and stays put.
+    // The L-only routing: greedy pass (above) plus rip-up-and-reroute.
     for (std::size_t pass = 0; pass < options.reroute_passes; ++pass) {
-        bool changed = false;
-        for (bent_edge& e : bent) {
-            uncommit_bent(grid, e);
-            const std::size_t row = choose_row(grid, e.ax, e.ay, e.bx, e.by);
-            changed |= row != e.row;
-            e.row = row;
-            commit_bent(grid, e);
+        if (!reroute_sweep(grid, bent, /*z_shapes=*/false)) break;
+    }
+
+    // Z-shapes refine the L-only routing: Z sweeps start from it, and the
+    // lowest-overflow state seen is kept (ties go to the later, Z-refined
+    // state). A greedy Z choice can still raise the total overflow, so
+    // the L-only state stays the fallback — Z-shapes never route worse
+    // than L-shapes alone.
+    if (options.use_z_shapes && options.max_z_candidates > 0) {
+        double best_overflow = total_overflow(grid);
+        std::vector<double> best_h = result.h_usage;
+        std::vector<double> best_v = result.v_usage;
+        const std::size_t z_passes = std::max<std::size_t>(1, options.reroute_passes);
+        for (std::size_t pass = 0; pass < z_passes; ++pass) {
+            if (!reroute_sweep(grid, bent, /*z_shapes=*/true)) break;
+            const double overflow = total_overflow(grid);
+            if (overflow <= best_overflow) {
+                best_overflow = overflow;
+                best_h = result.h_usage;
+                best_v = result.v_usage;
+            }
         }
-        if (!changed) break;
+        result.h_usage = std::move(best_h);
+        result.v_usage = std::move(best_v);
     }
 
     // Wirelength and overflow from the committed usage.
+    result.overflow = total_overflow(grid);
     for (std::size_t i = 0; i < nx * ny; ++i) {
         result.wirelength +=
             result.h_usage[i] * grid.bin_w + result.v_usage[i] * grid.bin_h;
-        result.overflow += std::max(0.0, result.h_usage[i] - options.h_capacity) +
-                           std::max(0.0, result.v_usage[i] - options.v_capacity);
         result.max_utilization =
             std::max({result.max_utilization, result.h_usage[i] / options.h_capacity,
                       result.v_usage[i] / options.v_capacity});

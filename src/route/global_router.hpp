@@ -2,7 +2,7 @@
 // estimation" of the paper's congestion-driven flow (section 5), one level
 // more faithful than the RUDY map: nets are decomposed into two-pin edges
 // by a minimum spanning tree and each edge is routed with the less
-// congested of its L-shapes (optionally sweeping Z-shapes), committing
+// congested of its L-shapes (optionally refined with Z-shapes), committing
 // track usage to per-bin horizontal/vertical capacities.
 #pragma once
 
@@ -18,12 +18,16 @@ namespace gpf {
 struct router_options {
     double h_capacity = 8.0;   ///< horizontal tracks per bin
     double v_capacity = 8.0;   ///< vertical tracks per bin
-    bool use_z_shapes = true;  ///< sweep Z bends in addition to the two Ls
+    /// Refine the L-shape routing with Z bends: after the L-only routing
+    /// (greedy pass plus reroute passes), up to max(1, reroute_passes)
+    /// sweeps may also pick Z bends, and the lowest-overflow state seen is
+    /// returned — so the total overflow is never above the L-only one.
+    bool use_z_shapes = true;
     std::size_t max_z_candidates = 8; ///< intermediate coordinates probed per edge
     /// Rip-up-and-reroute sweeps after the initial greedy pass: every bent
     /// edge is re-chosen against the congestion left by the others, which
     /// lets early commitments escape congestion discovered later. 0
-    /// restores single-pass greedy routing.
+    /// restores single-pass greedy L routing.
     std::size_t reroute_passes = 2;
     /// Congestion cost exponent: cost of using a bin = (usage/capacity)^p.
     double cost_exponent = 2.0;

@@ -384,14 +384,17 @@ TEST(CheckpointDigest, EverySteeringOptionChangesTheDigest) {
 
 TEST_F(CheckpointResume, CheckpointOfThePreviousStateTagIsRejected) {
     // The state tag moved to v2 with the resolution-aware CG stop, which
-    // changed every trajectory, and to v3 when the warm-start
-    // displacements left the payload. 0x8beba8afae79e546 and
-    // 0x42743c02dfdd34e7 are the digests the v1 and v2 tags gave this very
-    // placer: a checkpoint stamped with either was written by an earlier
-    // build and must be refused by the digest check, not resumed onto a
-    // different trajectory or misread as a different payload layout.
+    // changed every trajectory, to v3 when the warm-start displacements
+    // left the payload, and to v4 when wire relaxation began reusing the
+    // system assembled at the transformation's input (every trajectory
+    // moved again). 0x8beba8afae79e546, 0x42743c02dfdd34e7 and
+    // 0x672c420ff2a2838e are the digests the v1, v2 and v3 tags gave this
+    // very placer: a checkpoint stamped with any of them was written by an
+    // earlier build and must be refused by the digest check, not resumed
+    // onto a different trajectory or misread as a different payload layout.
     constexpr std::uint64_t kV1Digest = 0x8beba8afae79e546ull;
     constexpr std::uint64_t kV2Digest = 0x42743c02dfdd34e7ull;
+    constexpr std::uint64_t kV3Digest = 0x672c420ff2a2838eull;
     const netlist nl = test_circuit(180, 38);
     placer_options opt = short_run_options();
     opt.checkpoint_path = path_;
@@ -402,7 +405,7 @@ TEST_F(CheckpointResume, CheckpointOfThePreviousStateTagIsRejected) {
     (void)writer.run();
     const checkpoint_blob blob = read_checkpoint_file(path_);
 
-    for (const std::uint64_t old_digest : {kV1Digest, kV2Digest}) {
+    for (const std::uint64_t old_digest : {kV1Digest, kV2Digest, kV3Digest}) {
         SCOPED_TRACE(old_digest);
         EXPECT_NE(writer.checkpoint_digest(), old_digest);
         // The same payload under the earlier digest.

@@ -218,6 +218,41 @@ TEST(FaultRecovery, PersistentFaultEscalatesThroughTheWholeLadder) {
     EXPECT_TRUE(rolled_back);
 }
 
+TEST(FaultRecovery, UnhealthyInitialSolveKeepsTheStartPlacement) {
+    // CG visits 0 and 1 are the x/y initial wire-length solve. Repeating
+    // that deterministic solve could not help, so the run records one
+    // keep_start event and spreads from the caller's start placement.
+    const netlist nl = test_circuit(200, 23);
+    for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        scoped_threads tguard(threads);
+        const std::size_t fired_before =
+            fault_injector::instance().fired(fault_site::cg_nan);
+        scoped_fault fguard(fault_site::cg_nan, /*iteration=*/0, /*seed=*/3,
+                            /*count=*/2);
+        placer_options opt;
+        opt.max_iterations = 8;
+        placer p(nl, opt);
+        const placement out = p.run();
+
+        expect_finite(nl, out, "initial solve");
+        verify_global_placement(nl, out).require("test_fault initial solve");
+        EXPECT_EQ(fault_injector::instance().fired(fault_site::cg_nan) - fired_before, 2u);
+        EXPECT_TRUE(p.degraded());
+        ASSERT_EQ(p.recovery_log().size(), 1u);
+        const recovery_event& ev = p.recovery_log().front();
+        EXPECT_EQ(ev.action, recovery_action::keep_start);
+        EXPECT_STREQ(recovery_action_name(ev.action), "keep_start");
+        EXPECT_EQ(ev.iteration, 0u);
+        EXPECT_NE(ev.reason.find("initial wire-length solve"), std::string::npos)
+            << ev.reason;
+        ASSERT_FALSE(p.history().empty());
+        ASSERT_EQ(p.history().front().recovery.size(), 1u);
+        EXPECT_EQ(p.history().front().recovery.front().action,
+                  recovery_action::keep_start);
+    }
+}
+
 TEST(FaultRecovery, NoFaultMeansBitwiseIdenticalPlacementsAcrossThreads) {
     fault_injector::instance().disarm();
     const netlist nl = test_circuit(240, 3);

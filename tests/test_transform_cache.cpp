@@ -211,11 +211,10 @@ TEST(TransformCache, ProfilerCollectsPhaseSamples) {
         by_kind += prof.total_cg(kind);
     }
     EXPECT_EQ(by_kind, prof.total_cg_x() + prof.total_cg_y());
-    // Wire relaxation's own assembly is timed as assemble: one assemble
-    // per transformation plus one per relaxation.
+    // Wire relaxation reuses the system assembled at the transformation's
+    // input: exactly one assemble per transformation.
     EXPECT_GT(prof.calls(profile_phase::wire_relax), 0u);
-    EXPECT_EQ(prof.calls(profile_phase::assemble),
-              prof.transforms() + prof.calls(profile_phase::wire_relax));
+    EXPECT_EQ(prof.calls(profile_phase::assemble), prof.transforms());
     const std::string summary = prof.summary();
     EXPECT_FALSE(summary.empty());
     EXPECT_NE(summary.find("hold_and_move="), std::string::npos) << summary;
