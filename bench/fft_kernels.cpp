@@ -119,8 +119,8 @@ fft_timing time_r2c_2d(std::size_t n) {
     return t;
 }
 
-/// Per-rep kernel milliseconds (stamp / fft_fwd / fft_mul / fft_inv /
-/// readback) accumulated by a phase_capture around a reps loop.
+/// Per-rep kernel milliseconds (stamp / fft_fwd / fft_mul / fft_inv)
+/// accumulated by a phase_capture around a reps loop.
 using kernel_split = std::array<double, num_profile_kernels>;
 
 /// Divides the captured kernel totals by the rep count so the JSON
@@ -230,12 +230,14 @@ double time_pipeline_256_ms(kernel_split& kernel_ms) {
     return ms;
 }
 
-bench::method_result make_record(double seconds, std::size_t reps,
+/// A timing record. `iterations` stays 0: the gate reads that field as a
+/// deterministic convergence count, and these kernels have none — their
+/// repetition counts follow the runner's speed (printed in the table).
+bench::method_result make_record(double seconds,
                                  const kernel_split* kernel_ms = nullptr) {
     bench::method_result r;
     r.hpwl = kPlaceholderHpwl;
     r.seconds = seconds;
-    r.iterations = reps;
     if (kernel_ms != nullptr) r.kernel_ms = *kernel_ms;
     r.ok = true;
     return r;
@@ -275,12 +277,12 @@ int main() {
                     tr.inverse_seconds * 1e3, c.seconds * 1e3);
 
         const std::string grid = "grid_" + std::to_string(n);
-        report.add(grid, "fft2d_forward", make_record(t.forward_seconds, t.reps));
-        report.add(grid, "fft2d_inverse", make_record(t.inverse_seconds, t.reps));
-        report.add(grid, "fft2d_r2c", make_record(tr.forward_seconds, tr.reps));
-        report.add(grid, "fft2d_c2r", make_record(tr.inverse_seconds, tr.reps));
+        report.add(grid, "fft2d_forward", make_record(t.forward_seconds));
+        report.add(grid, "fft2d_inverse", make_record(t.inverse_seconds));
+        report.add(grid, "fft2d_r2c", make_record(tr.forward_seconds));
+        report.add(grid, "fft2d_c2r", make_record(tr.inverse_seconds));
         report.add(grid, "convolve_pair",
-                   make_record(c.seconds, c.reps, &c.kernel_ms));
+                   make_record(c.seconds, &c.kernel_ms));
         report.set_metric("fft2d_forward_" + std::to_string(n) + "_gflops",
                           fwd_gfs);
         report.set_metric("fft2d_inverse_" + std::to_string(n) + "_gflops",
@@ -299,7 +301,7 @@ int main() {
                 "%.2f ms\n",
                 stamp_ms);
     report.add("grid_256", "density_stamping",
-               make_record(stamp_ms * 1e-3, 40, &stamp_kernels));
+               make_record(stamp_ms * 1e-3, &stamp_kernels));
     report.set_metric("stamp_256_ms", stamp_ms);
 
     kernel_split pipeline_kernels{};
@@ -310,7 +312,7 @@ int main() {
                 pipeline_ms, speedup, kPipelineBaselineMs,
                 kPipelinePr8Ms / pipeline_ms, kPipelinePr8Ms);
     bench::method_result pipeline =
-        make_record(pipeline_ms * 1e-3, 20, &pipeline_kernels);
+        make_record(pipeline_ms * 1e-3, &pipeline_kernels);
     report.add("grid_256", "density_force_pipeline", pipeline);
     report.set_metric("pipeline_256_ms", pipeline_ms);
     report.set_metric("pipeline_256_speedup_vs_pr2", speedup);

@@ -48,7 +48,7 @@ enum class simd_isa {
     scalar = 0, ///< portable reference kernels (always available)
     avx2 = 1,   ///< x86-64 AVX2 (256-bit, 4 doubles)
     neon = 2,   ///< aarch64 NEON (128-bit, 2 doubles; 4-lane emulated)
-    avx512 = 3, ///< x86-64 AVX-512F (512-bit, 8 doubles; 4-lane reductions)
+    avx512 = 3, ///< x86-64 AVX-512F (512-bit sliced SpMV, AVX2 bodies elsewhere)
 };
 
 /// Logical lane count of every reduction kernel, identical on all ISAs.

@@ -1,22 +1,25 @@
-// 256-bit x86 kernel bodies shared by the AVX2 and AVX-512 translation
-// units. Everything here is `static` (internal linkage): each including
-// TU compiles its own copy under its own -m flags, so the AVX2 table can
-// never end up calling code the compiler emitted with AVX-512 encodings
-// (the linker never merges copies across the TUs).
+// 256-bit x86 kernel bodies shared by the AVX2 and AVX-512 tables: every
+// entry of both tables except the sliced SpMV points here. Everything is
+// `static` (internal linkage): each including TU compiles its own copy
+// under its own -m flags, so the AVX2 table can never end up calling code
+// the compiler emitted with AVX-512 encodings (the linker never merges
+// copies across the TUs).
 //
-// Two kinds of kernels live here:
+// Three kinds of kernels live here:
+//   * the elementwise kernels (axpy, xpby, add_scalar, scale, cmul,
+//     cmul_pair): memory-bound, so a 512-bit copy shows no end-to-end
+//     gain (DESIGN.md §13);
 //   * the fixed-shape reductions (dot, cg_update): these must stay
 //     4-lane / 256-bit on EVERY x86 tier — widening the accumulator to 8
-//     lanes would change the reduction tree and hence the rounding — so
-//     the AVX-512 table points at the exact same bodies;
-//   * the small-block butterfly paths (radix-2 with len <= 4, radix-4
-//     with block <= 8): too narrow for 512-bit vectors, so the AVX-512
-//     passes delegate to these 128-bit-cross-permute forms.
+//     lanes would change the reduction tree and hence the rounding;
+//   * the radix-2 and radix-4 butterfly passes, with 128-bit
+//     cross-permute forms for the narrow first stages.
 //
 // The bitwise contract of util/simd.hpp applies: plain vmul/vadd/vsub
 // (and vaddsub, which is the scalar expression with the addition
 // commuted — IEEE-identical), never FMA; every including TU is compiled
-// with -ffp-contract=off and without -mfma.
+// with -ffp-contract=off and without -mfma. Loop tails run the scalar
+// reference code.
 #pragma once
 
 #include <immintrin.h>
@@ -55,6 +58,77 @@ static inline __m256d rot_i2(__m256d g) {
             static_cast<long long>(0x8000000000000000ULL), 0));
         return _mm256_xor_pd(swapped, mask);
     }
+}
+
+// --- elementwise kernels ----------------------------------------------------
+
+static inline void axpy_x86(double alpha, const double* x, double* y, std::size_t n) {
+    const __m256d va = _mm256_set1_pd(alpha);
+    const std::size_t m = n & ~std::size_t{3};
+    for (std::size_t i = 0; i < m; i += 4) {
+        const __m256d vy = _mm256_loadu_pd(y + i);
+        const __m256d vx = _mm256_loadu_pd(x + i);
+        _mm256_storeu_pd(y + i, _mm256_add_pd(vy, _mm256_mul_pd(va, vx)));
+    }
+    axpy_scalar(alpha, x + m, y + m, n - m);
+}
+
+static inline void xpby_x86(const double* z, double beta, double* p, std::size_t n) {
+    const __m256d vb = _mm256_set1_pd(beta);
+    const std::size_t m = n & ~std::size_t{3};
+    for (std::size_t i = 0; i < m; i += 4) {
+        const __m256d vz = _mm256_loadu_pd(z + i);
+        const __m256d vp = _mm256_loadu_pd(p + i);
+        _mm256_storeu_pd(p + i, _mm256_add_pd(vz, _mm256_mul_pd(vb, vp)));
+    }
+    xpby_scalar(z + m, beta, p + m, n - m);
+}
+
+static inline void add_scalar_x86(double* dst, double c, std::size_t n) {
+    const __m256d vc = _mm256_set1_pd(c);
+    const std::size_t m = n & ~std::size_t{3};
+    for (std::size_t i = 0; i < m; i += 4) {
+        _mm256_storeu_pd(dst + i, _mm256_add_pd(_mm256_loadu_pd(dst + i), vc));
+    }
+    add_scalar_scalar(dst + m, c, n - m);
+}
+
+static inline void scale_x86(double* p, double s, std::size_t n) {
+    const __m256d vs = _mm256_set1_pd(s);
+    const std::size_t m = n & ~std::size_t{3};
+    for (std::size_t i = 0; i < m; i += 4) {
+        _mm256_storeu_pd(p + i, _mm256_mul_pd(_mm256_loadu_pd(p + i), vs));
+    }
+    scale_scalar(p + m, s, n - m);
+}
+
+static inline void cmul_x86(std::complex<double>* w, const std::complex<double>* s,
+                            std::size_t n) {
+    double* wp = reinterpret_cast<double*>(w);
+    const double* sp = reinterpret_cast<const double*>(s);
+    const std::size_t m = n & ~std::size_t{1};
+    for (std::size_t i = 0; i < m; i += 2) {
+        const __m256d vw = _mm256_loadu_pd(wp + 2 * i);
+        const __m256d vs = _mm256_loadu_pd(sp + 2 * i);
+        _mm256_storeu_pd(wp + 2 * i, cmul2(vw, vs));
+    }
+    cmul_scalar(w + m, s + m, n - m);
+}
+
+static inline void cmul_pair_x86(std::complex<double>* w, std::complex<double>* q,
+                                 const std::complex<double>* s,
+                                 const std::complex<double>* t, std::size_t n) {
+    double* wp = reinterpret_cast<double*>(w);
+    double* qp = reinterpret_cast<double*>(q);
+    const double* sp = reinterpret_cast<const double*>(s);
+    const double* tp = reinterpret_cast<const double*>(t);
+    const std::size_t m = n & ~std::size_t{1};
+    for (std::size_t i = 0; i < m; i += 2) {
+        const __m256d vw = _mm256_loadu_pd(wp + 2 * i);
+        _mm256_storeu_pd(qp + 2 * i, cmul2(vw, _mm256_loadu_pd(tp + 2 * i)));
+        _mm256_storeu_pd(wp + 2 * i, cmul2(vw, _mm256_loadu_pd(sp + 2 * i)));
+    }
+    cmul_pair_scalar(w + m, q + m, s + m, t + m, n - m);
 }
 
 // --- fixed-shape reductions (4 logical lanes on every x86 tier) -----------

@@ -100,8 +100,8 @@ TEST(Simd, Avx512TableCompleteWhenAvailable) {
     EXPECT_NE(table->cmul_pair, nullptr);
     EXPECT_NE(table->fft_radix2, nullptr);
     EXPECT_NE(table->fft_radix4, nullptr);
-    // An available avx512 tier implies the avx2 tier (the 512-bit kernels
-    // delegate short blocks to the shared 256-bit bodies).
+    // An available avx512 tier implies the avx2 tier: every entry but the
+    // sliced SpMV is a shared 256-bit body.
     EXPECT_NE(simd_kernels_for(simd_isa::avx2), nullptr);
 }
 

@@ -1,10 +1,10 @@
 // Scalar↔SIMD bitwise-equivalence sweep (DESIGN.md §13): every dispatched
 // kernel must produce bitwise identical results under every available
 // GPF_SIMD tier (scalar, avx2, avx512, neon — whichever the host
-// supports), at any thread count, and with the fused forward path on or
-// off — the same reproducibility contract GPF_THREADS carries
-// (DESIGN.md §12, tests/test_parallel.cpp). Tiers the host cannot run
-// (e.g. avx512 on a non-AVX-512 CPU) are skipped, not failed.
+// supports) and at any thread count — the same reproducibility contract
+// GPF_THREADS carries (DESIGN.md §12, tests/test_parallel.cpp). Tiers the
+// host cannot run (e.g. avx512 on a non-AVX-512 CPU) are skipped, not
+// failed.
 //
 // Runs in the property binary: each check is a pure function of its seed,
 // replayable with
@@ -409,30 +409,16 @@ TEST_F(SimdEquivalence, DensityStampingBitwiseAcrossIsaAndThreads) {
     }
 }
 
-/// RAII: pins the fused-forward toggle, restoring the previous setting.
-class scoped_fused {
-public:
-    explicit scoped_fused(bool on) : prev_(spectral_fused_enabled()) {
-        set_spectral_fused(on);
-    }
-    ~scoped_fused() { set_spectral_fused(prev_); }
-
-private:
-    bool prev_;
-};
-
-// Deliberately not on the SimdEquivalence fixture: the fused-vs-staged
+// Deliberately not on the SimdEquivalence fixture: the affine gather
 // identity is worth checking even on scalar-only hosts (available_isas()
-// then sweeps {scalar} and the property still exercises both data paths).
-TEST(FusedEquivalence, FusedForwardBitwiseAcrossIsaAndThreads) {
+// then sweeps {scalar} and the property still runs the thread sweep).
+TEST(SpectralConvolver, AffinePackBitwiseAcrossIsaAndThreads) {
     const std::uint64_t seeds = seed_count();
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
         SCOPED_TRACE("seed=" + std::to_string(seed));
         prng rng(seed * 389 + 17);
         // Non-power-of-two shape: the cyclic padding band is non-empty, so
-        // the fused sweep's zero-row pruning runs (and must keep ±0 signs
-        // out of the picture — the gathered zeros are the literal +0.0 the
-        // staged path stores).
+        // the column sweep's +0.0 padding rows are part of every transform.
         const std::size_t n0 = 24, n1 = 40;
         const std::size_t k0 = 2 * n0 - 1, k1 = 2 * n1 - 1;
         std::vector<double> kx(k0 * k1), ky(k0 * k1), data(n0 * n1);
@@ -442,38 +428,27 @@ TEST(FusedEquivalence, FusedForwardBitwiseAcrossIsaAndThreads) {
         const double shift = -rng.next_range(0.0, 1.0);
         const double scale = rng.next_range(0.5, 2.0);
 
-        // Reference: staged (GPF_FUSED=0) path, scalar kernels, 1 thread.
-        std::vector<double> ref_x, ref_y, ref_ax, ref_ay;
+        // Reference: convolve_pair of the explicitly assembled
+        // (d + shift) * scale grid, scalar kernels, 1 thread.
+        std::vector<double> ref_x, ref_y;
         {
             scoped_config cfg(simd_isa::scalar, 1);
-            scoped_fused fused(false);
+            std::vector<double> assembled(data.size());
+            for (std::size_t i = 0; i < data.size(); ++i) {
+                assembled[i] = (data[i] + shift) * scale;
+            }
             spectral_convolver conv(n0, n1, kx, ky);
-            conv.convolve_pair(data, ref_x, ref_y);
-            conv.convolve_pair_affine(data, shift, scale, ref_ax, ref_ay);
+            conv.convolve_pair(assembled, ref_x, ref_y);
         }
         for (const simd_isa isa : available_isas()) {
             for (const std::size_t threads : kThreadSweep) {
-                for (const bool fused_on : {false, true}) {
-                    scoped_config cfg(isa, threads);
-                    scoped_fused fused(fused_on);
-                    spectral_convolver conv(n0, n1, kx, ky);
-                    std::vector<double> out_x, out_y, ax, ay;
-                    conv.convolve_pair(data, out_x, out_y);
-                    conv.convolve_pair_affine(data, shift, scale, ax, ay);
-                    if (!bitwise_equal(out_x, ref_x) ||
-                        !bitwise_equal(out_y, ref_y) ||
-                        !bitwise_equal(ax, ref_ax) || !bitwise_equal(ay, ref_ay)) {
-                        log_failing_seed("simd_fused_forward_bitwise", seed);
-                    }
-                    ASSERT_TRUE(bitwise_equal(out_x, ref_x) &&
-                                bitwise_equal(out_y, ref_y))
-                        << simd_isa_name(isa) << " threads=" << threads
-                        << " fused=" << fused_on;
-                    ASSERT_TRUE(bitwise_equal(ax, ref_ax) &&
-                                bitwise_equal(ay, ref_ay))
-                        << simd_isa_name(isa) << " threads=" << threads
-                        << " fused=" << fused_on << " (affine)";
-                }
+                scoped_config cfg(isa, threads);
+                spectral_convolver conv(n0, n1, kx, ky);
+                std::vector<double> ax, ay;
+                conv.convolve_pair_affine(data, shift, scale, ax, ay);
+                const bool same = bitwise_equal(ax, ref_x) && bitwise_equal(ay, ref_y);
+                if (!same) log_failing_seed("spectral_affine_pack_bitwise", seed);
+                ASSERT_TRUE(same) << simd_isa_name(isa) << " threads=" << threads;
             }
         }
     }
