@@ -36,6 +36,10 @@ constexpr double kTiny = 1e-12;
 /// nothing.
 constexpr double kStopBinFraction = 1e-3;
 
+/// Bin demand below this counts as empty for the stopping criterion's
+/// largest empty square.
+constexpr double kEmptyThreshold = 0.05;
+
 /// Per-transformation displacement cap as a fraction of (W+H): the trust
 /// region that keeps strong near-pile fields from throwing cells across
 /// the chip in one step (hold_and_move mode only). The tightened retry of
@@ -139,36 +143,15 @@ placer::placer(const netlist& nl, placer_options options)
 
 placer::~placer() = default;
 
-void placer::build_cell_rects(const placement& pl) {
-    cell_rects_.clear();
-    cell_rects_.reserve(nl_.num_cells());
-    for (cell_id i = 0; i < nl_.num_cells(); ++i) {
-        const cell& c = nl_.cell_at(i);
-        if (c.kind == cell_kind::pad) continue;
-        cell_rects_.push_back(rect::from_center(pl[i], c.width, c.height));
-    }
-}
-
 double placer::average_cell_area() const {
     const std::size_t m = nl_.num_movable();
     return m == 0 ? 0.0 : nl_.movable_area() / static_cast<double>(m);
 }
 
-std::pair<std::size_t, std::size_t> placer::density_dims() const {
-    const rect region = nl_.region();
-    const double aspect = region.width() / region.height();
-    double ny = std::sqrt(static_cast<double>(options_.density_bins) / aspect);
-    double nx = aspect * ny;
-    const auto clampdim = [](double v) {
-        return std::max<std::size_t>(4, static_cast<std::size_t>(std::llround(v)));
-    };
-    return {clampdim(nx), clampdim(ny)};
-}
-
 cg_options placer::solve_options(bool anchored) const {
     cg_options opt;
     if (anchored) {
-        const auto [nx, ny] = density_dims();
+        const auto [nx, ny] = density_grid_dims(nl_.region(), options_.density_bins);
         const rect region = nl_.region();
         opt.displacement_tolerance =
             kStopBinFraction * std::min(region.width() / static_cast<double>(nx),
@@ -246,7 +229,7 @@ placement placer::transform(const placement& current) {
     //    produced (the steady state of run_from), its hook-free demand was
     //    already stamped for the stopping criterion — reuse it instead of
     //    stamping every cell again.
-    const auto [nx, ny] = density_dims();
+    const auto [nx, ny] = density_grid_dims(nl_.region(), options_.density_bins);
     density_map density(nl_.region(), nx, ny);
     {
         phase_timer timer(profile_phase::density);
@@ -256,7 +239,7 @@ placement placer::transform(const placement& current) {
         if (reuse) {
             density = *next_density_;
         } else {
-            build_cell_rects(current);
+            collect_cell_rects(nl_, current, cell_rects_);
             density.add_rects(cell_rects_);
         }
         if (density_hook_) density_hook_(density, current);
@@ -444,7 +427,7 @@ placement placer::transform(const placement& current) {
         stats.hpwl = total_hpwl(nl_, next);
         stats.overflow_area = density.overflow_area();
         stats.largest_empty_square =
-            largest_empty_square_side(density, options_.empty_threshold);
+            largest_empty_square_side(density, kEmptyThreshold);
     }
 
     // Stopping criterion on the *output* placement. With the cache on, the
@@ -455,7 +438,7 @@ placement placer::transform(const placement& current) {
     {
         phase_timer timer(profile_phase::spread_check);
         if (options_.iteration_cache) {
-            build_cell_rects(next);
+            collect_cell_rects(nl_, next, cell_rects_);
             if (next_density_.has_value() && next_density_->nx() == nx &&
                 next_density_->ny() == ny) {
                 next_density_->clear();
@@ -468,12 +451,12 @@ placement placer::transform(const placement& current) {
             check.finalize();
             stats.spread = placement_is_spread(check, average_cell_area(),
                                                options_.spread_factor,
-                                               options_.empty_threshold);
+                                               kEmptyThreshold);
         } else {
             const density_map check = compute_density_grid(nl_, next, nx, ny);
             stats.spread = placement_is_spread(check, average_cell_area(),
                                                options_.spread_factor,
-                                               options_.empty_threshold);
+                                               kEmptyThreshold);
         }
     }
 
@@ -1288,7 +1271,7 @@ void placer::bump_heartbeat() {
 
 std::uint64_t placer::compute_digest() const {
     state_digest d;
-    d.mix_string("gpf-placer-state-v4");
+    d.mix_string("gpf-placer-state-v5");
     // Every option that steers the trajectory. Deliberately excluded:
     // time_budget and max_transform_seconds (wall-clock guards that may
     // legitimately differ between the original and the resuming process),
@@ -1301,7 +1284,6 @@ std::uint64_t placer::compute_digest() const {
     d.mix_u64(options_.max_iterations);
     d.mix_u64(options_.density_bins);
     d.mix_f64(options_.spread_factor);
-    d.mix_f64(options_.empty_threshold);
     d.mix_u64(options_.min_iterations);
     d.mix_u64(options_.plateau_window);
     d.mix_f64(options_.plateau_tolerance);
@@ -1311,7 +1293,6 @@ std::uint64_t placer::compute_digest() const {
     d.mix_u64(static_cast<std::uint64_t>(options_.net_model.kind));
     d.mix_u64(options_.net_model.star_threshold);
     d.mix_u64(options_.net_model.linearize ? 1 : 0);
-    d.mix_f64(options_.net_model.min_length_fraction);
     // Netlist identity: region, geometry and connectivity. Names are
     // omitted — they appear in diagnostics, never in the trajectory.
     const rect region = nl_.region();

@@ -78,7 +78,6 @@ struct placer_options {
     std::size_t max_iterations = 200;
     std::size_t density_bins = 4096;     ///< target total bin count
     double spread_factor = 4.0;          ///< stop: empty square area <= factor * avg cell area
-    double empty_threshold = 0.05;       ///< bin demand below this counts as empty
     std::size_t min_iterations = 2;      ///< run at least this many transformations
     /// Secondary stop: end the run when the density overflow has not
     /// improved by `plateau_tolerance` (relative) for `plateau_window`
@@ -328,7 +327,6 @@ private:
     void write_checkpoint(const run_state& st);
     void bump_heartbeat();
     std::uint64_t compute_digest() const;
-    std::pair<std::size_t, std::size_t> density_dims() const;
     /// cg_options for one placer solve. Anchored solves (hold-and-move,
     /// wire relaxation) get the displacement stop at a fixed fraction of
     /// this placer's density bin width: their shift s bounds the error by
@@ -344,9 +342,6 @@ private:
     /// otherwise the reason. Pure reads — never touches placer state.
     std::string health_check(const iteration_stats& stats, const placement& pl,
                              double prev_overflow) const;
-    /// Fill cell_rects_ with the non-pad cell rectangles under pl, in the
-    /// same order compute_density_grid stamps them.
-    void build_cell_rects(const placement& pl);
 
     const netlist& nl_;
     placer_options options_;

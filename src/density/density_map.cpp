@@ -269,10 +269,8 @@ double density_map::overflow_area() const {
     return acc * bin_area();
 }
 
-namespace {
-
-std::pair<std::size_t, std::size_t> choose_grid(const rect& region,
-                                                std::size_t target_bins) {
+std::pair<std::size_t, std::size_t> density_grid_dims(const rect& region,
+                                                      std::size_t target_bins) {
     const double aspect = region.width() / region.height();
     // nx * ny ~ target, nx/ny ~ aspect → square-ish bins.
     double ny = std::sqrt(static_cast<double>(target_bins) / aspect);
@@ -283,19 +281,22 @@ std::pair<std::size_t, std::size_t> choose_grid(const rect& region,
     return {clampdim(nx), clampdim(ny)};
 }
 
-} // namespace
-
-density_map compute_density_grid(const netlist& nl, const placement& pl,
-                                 std::size_t nx, std::size_t ny) {
+void collect_cell_rects(const netlist& nl, const placement& pl, std::vector<rect>& out) {
     GPF_CHECK(pl.size() == nl.num_cells());
-    density_map map(nl.region(), nx, ny);
-    std::vector<rect> rects;
-    rects.reserve(nl.num_cells());
+    out.clear();
+    out.reserve(nl.num_cells());
     for (cell_id i = 0; i < nl.num_cells(); ++i) {
         const cell& c = nl.cell_at(i);
         if (c.kind == cell_kind::pad) continue;
-        rects.push_back(rect::from_center(pl[i], c.width, c.height));
+        out.push_back(rect::from_center(pl[i], c.width, c.height));
     }
+}
+
+density_map compute_density_grid(const netlist& nl, const placement& pl,
+                                 std::size_t nx, std::size_t ny) {
+    density_map map(nl.region(), nx, ny);
+    std::vector<rect> rects;
+    collect_cell_rects(nl, pl, rects);
     map.add_rects(rects);
     map.finalize();
     return map;
@@ -303,7 +304,7 @@ density_map compute_density_grid(const netlist& nl, const placement& pl,
 
 density_map compute_density(const netlist& nl, const placement& pl,
                             std::size_t target_bins) {
-    const auto [nx, ny] = choose_grid(nl.region(), target_bins);
+    const auto [nx, ny] = density_grid_dims(nl.region(), target_bins);
     return compute_density_grid(nl, pl, nx, ny);
 }
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "geometry/geometry.hpp"
@@ -101,9 +102,17 @@ private:
     bool finalized_ = false;
 };
 
+/// Grid dimensions near `target_bins` total bins, with bins as square as
+/// the region aspect allows (both dims >= 4).
+std::pair<std::size_t, std::size_t> density_grid_dims(const rect& region,
+                                                      std::size_t target_bins);
+
+/// Footprint of every non-pad cell at its placement position, in cell
+/// order — the rects compute_density stamps. `out` is overwritten.
+void collect_cell_rects(const netlist& nl, const placement& pl, std::vector<rect>& out);
+
 /// Stamp every non-pad cell of the netlist at its placement position and
-/// finalize. Grid dimensions are chosen near `target_bins` total bins with
-/// bins as square as the region aspect allows (both dims >= 4).
+/// finalize, on the density_grid_dims(region, target_bins) grid.
 density_map compute_density(const netlist& nl, const placement& pl,
                             std::size_t target_bins = 4096);
 

@@ -27,9 +27,6 @@ struct net_model_options {
     net_model_kind kind = net_model_kind::clique;
     std::size_t star_threshold = 16; ///< hybrid: degree above which star is used
     bool linearize = true;           ///< Gordian-L style 1/length reweighting
-    /// Lengths below `min_length_fraction * (W + H)` are clamped when
-    /// linearizing, preventing weight blow-up for coincident pins.
-    double min_length_fraction = 1e-4;
 };
 
 /// True when a net of the given degree should be modeled as a star under

@@ -12,6 +12,10 @@ namespace gpf {
 
 namespace {
 
+/// Linearization clamp: lengths below this fraction of (W + H) count as
+/// that length, preventing weight blow-up for coincident pins.
+constexpr double kMinLengthFraction = 1e-4;
+
 /// Per-dimension linearization clamp: lengths below eps count as eps.
 double linear_weight(double base, double length, double eps) {
     return base / std::max(eps, std::abs(length));
@@ -30,8 +34,8 @@ quadratic_system::quadratic_system(const netlist& nl, net_model_options options)
     }
     num_vars_ = movable_.size();
     collect_edges();
-    find_floating_variables();
     build_symbolic();
+    find_floating_variables();
 }
 
 void quadratic_system::find_floating_variables() {
@@ -48,12 +52,10 @@ void quadratic_system::find_floating_variables() {
     };
     std::vector<char> grounded(num_vars_, 0);
     for (const edge& e : edges_) {
-        if (e.var_a != invalid_var && e.var_b != invalid_var) {
+        if (e.var_a != edge::fixed && e.var_b != edge::fixed) {
             parent[find(e.var_a)] = find(e.var_b);
-        } else if (e.var_a != invalid_var) {
-            grounded[e.var_a] = 1;
-        } else if (e.var_b != invalid_var) {
-            grounded[e.var_b] = 1;
+        } else {
+            grounded[e.var_a != edge::fixed ? e.var_a : e.var_b] = 1;
         }
     }
     std::vector<char> root_grounded(num_vars_, 0);
@@ -66,35 +68,15 @@ void quadratic_system::find_floating_variables() {
     }
 }
 
-void quadratic_system::add_edge_between_pins(const net& n, std::size_t pa,
-                                             std::size_t pb, double weight, net_id ni) {
-    const pin& a = n.pins[pa];
-    const pin& b = n.pins[pb];
-    edge e{};
-    e.weight = weight;
-    e.source_net = ni;
-    e.var_a = var_of_[a.cell];
-    e.var_b = var_of_[b.cell];
-    const cell& ca = nl_.cell_at(a.cell);
-    const cell& cb = nl_.cell_at(b.cell);
-    if (e.var_a == invalid_var) {
-        e.fixed_ax = ca.position.x + a.offset.x;
-        e.fixed_ay = ca.position.y + a.offset.y;
+void quadratic_system::set_endpoint(const pin& p, std::uint32_t& var, point& at) const {
+    const std::size_t v = var_of_[p.cell];
+    if (v == invalid_var) {
+        var = edge::fixed;
+        at = nl_.cell_at(p.cell).position + p.offset;
     } else {
-        e.off_ax = a.offset.x;
-        e.off_ay = a.offset.y;
+        var = static_cast<std::uint32_t>(v);
+        at = p.offset;
     }
-    if (e.var_b == invalid_var) {
-        e.fixed_bx = cb.position.x + b.offset.x;
-        e.fixed_by = cb.position.y + b.offset.y;
-    } else {
-        e.off_bx = b.offset.x;
-        e.off_by = b.offset.y;
-    }
-    // Edges between two fixed endpoints only add a constant to the
-    // objective; skip them.
-    if (e.var_a == invalid_var && e.var_b == invalid_var) return;
-    edges_.push_back(e);
 }
 
 void quadratic_system::collect_edges() {
@@ -111,7 +93,16 @@ void quadratic_system::collect_edges() {
             const double w = clique_edge_weight(1.0, k);
             for (std::size_t a = 0; a < k; ++a) {
                 for (std::size_t b = a + 1; b < k; ++b) {
-                    add_edge_between_pins(n, a, b, w, ni);
+                    edge e{};
+                    e.weight = w;
+                    e.source_net = ni;
+                    set_endpoint(n.pins[a], e.var_a, e.pin_a);
+                    set_endpoint(n.pins[b], e.var_b, e.pin_b);
+                    // Edges between two fixed endpoints only add a
+                    // constant to the objective; skip them.
+                    if (e.var_a != edge::fixed || e.var_b != edge::fixed) {
+                        edges_.push_back(e);
+                    }
                 }
             }
         } else {
@@ -119,21 +110,12 @@ void quadratic_system::collect_edges() {
             // the center reproduces the clique with weight w/k.
             const std::size_t center = num_vars_++;
             star_net_of_var_.push_back(ni);
-            for (std::size_t a = 0; a < k; ++a) {
-                const pin& p = n.pins[a];
+            for (const pin& p : n.pins) {
                 edge e{};
                 e.weight = 1.0;
                 e.source_net = ni;
-                e.var_a = var_of_[p.cell];
-                if (e.var_a == invalid_var) {
-                    const cell& c = nl_.cell_at(p.cell);
-                    e.fixed_ax = c.position.x + p.offset.x;
-                    e.fixed_ay = c.position.y + p.offset.y;
-                } else {
-                    e.off_ax = p.offset.x;
-                    e.off_ay = p.offset.y;
-                }
-                e.var_b = center;
+                set_endpoint(p, e.var_a, e.pin_a);
+                e.var_b = static_cast<std::uint32_t>(center);
                 edges_.push_back(e);
             }
         }
@@ -147,8 +129,9 @@ void quadratic_system::build_symbolic() {
     // positions once, freeze them as the shared x/y sparsity pattern, and
     // record the value slot of every edge contribution so the numeric
     // refill is a flat accumulation loop.
-    GPF_CHECK_MSG(num_vars_ < (std::size_t{1} << 32),
-                  "symbolic assembly packs (row, col) into 64 bits");
+    GPF_CHECK_MSG(num_vars_ < edge::fixed,
+                  "edges store 32-bit variables; symbolic assembly packs (row, col) "
+                  "into 64 bits");
     std::vector<std::uint64_t> positions;
     positions.reserve(4 * edges_.size() + num_vars_);
     const auto pack = [](std::size_t i, std::size_t j) {
@@ -156,7 +139,7 @@ void quadratic_system::build_symbolic() {
     };
     for (std::size_t v = 0; v < num_vars_; ++v) positions.push_back(pack(v, v));
     for (const edge& e : edges_) {
-        if (e.var_a != invalid_var && e.var_b != invalid_var) {
+        if (e.var_a != edge::fixed && e.var_b != edge::fixed) {
             positions.push_back(pack(e.var_a, e.var_b));
             positions.push_back(pack(e.var_b, e.var_a));
         }
@@ -182,6 +165,7 @@ void quadratic_system::build_symbolic() {
     // the two axis matrices.
     ax_ = sliced_matrix(row_ptr, col_idx, std::vector<double>(col_idx.size(), 0.0));
     ay_ = ax_;
+    GPF_CHECK_MSG(ax_.values().size() < edge::fixed, "edges store 32-bit value slots");
 
     // Slots are looked up in the contiguous CSR rows and then placed in
     // the sliced layout, whose rows are strided across cache lines.
@@ -190,24 +174,22 @@ void quadratic_system::build_symbolic() {
         const auto end = col_idx.begin() + static_cast<std::ptrdiff_t>(row_ptr[i + 1]);
         const auto it = std::lower_bound(begin, end, j);
         GPF_CHECK(it != end && *it == j);
-        return ax_.entry_slot(i, static_cast<std::size_t>(it - begin));
+        return static_cast<std::uint32_t>(
+            ax_.entry_slot(i, static_cast<std::size_t>(it - begin)));
     };
     diag_slot_.resize(num_vars_);
     for (std::size_t v = 0; v < num_vars_; ++v) diag_slot_[v] = slot(v, v);
 
-    edge_slots_.resize(edges_.size());
-    for (std::size_t k = 0; k < edges_.size(); ++k) {
-        const edge& e = edges_[k];
-        edge_slots& s = edge_slots_[k];
-        if (e.var_a != invalid_var && e.var_b != invalid_var) {
-            s.aa = diag_slot_[e.var_a];
-            s.bb = diag_slot_[e.var_b];
-            s.ab = slot(e.var_a, e.var_b);
-            s.ba = slot(e.var_b, e.var_a);
+    for (edge& e : edges_) {
+        if (e.var_a != edge::fixed && e.var_b != edge::fixed) {
+            e.aa = diag_slot_[e.var_a];
+            e.bb = diag_slot_[e.var_b];
+            e.ab = slot(e.var_a, e.var_b);
+            e.ba = slot(e.var_b, e.var_a);
         } else {
-            const std::size_t v = e.var_a != invalid_var ? e.var_a : e.var_b;
-            s.aa = diag_slot_[v];
-            s.bb = s.ab = s.ba = sliced_matrix::npos;
+            const std::uint32_t v = e.var_a != edge::fixed ? e.var_a : e.var_b;
+            e.aa = diag_slot_[v];
+            e.bb = e.ab = e.ba = edge::fixed;
         }
     }
 }
@@ -225,6 +207,21 @@ void quadratic_system::compute_variable_positions(const placement& pl,
     }
 }
 
+double quadratic_system::min_length() const {
+    return kMinLengthFraction * (nl_.region().width() + nl_.region().height());
+}
+
+quadratic_system::stretch quadratic_system::stretch_of(const edge& e,
+                                                       const std::vector<point>& var_pos,
+                                                       double eps) const {
+    const point pa = e.var_a == edge::fixed ? e.pin_a : var_pos[e.var_a] + e.pin_a;
+    const point pb = e.var_b == edge::fixed ? e.pin_b : var_pos[e.var_b] + e.pin_b;
+    const point d = pa - pb;
+    const double base = e.weight * nl_.net_at(e.source_net).weight;
+    if (!options_.linearize) return {d, base, base};
+    return {d, linear_weight(base, d.x, eps), linear_weight(base, d.y, eps)};
+}
+
 void quadratic_system::assemble(const placement& current) {
     GPF_CHECK(current.size() == nl_.num_cells());
 
@@ -232,8 +229,7 @@ void quadratic_system::assemble(const placement& current) {
     // centroid) — needed only for the linearization lengths.
     compute_variable_positions(current, var_pos_);
 
-    const double eps =
-        options_.min_length_fraction * (nl_.region().width() + nl_.region().height());
+    const double eps = min_length();
 
     // Numeric refill of the fixed symbolic pattern: zero the value arrays,
     // accumulate every edge in collection order (a serial loop — the
@@ -268,53 +264,34 @@ void quadratic_system::assemble(const placement& current) {
         stiffness_acc += 2.0 * n.weight * static_cast<double>(n.degree() - 1);
     }
 
-    for (std::size_t k = 0; k < edges_.size(); ++k) {
-        const edge& e = edges_[k];
-        const edge_slots& s = edge_slots_[k];
-
-        // Endpoint positions for the linearization length.
-        const point pa = e.var_a == invalid_var
-                             ? point(e.fixed_ax, e.fixed_ay)
-                             : var_pos_[e.var_a] + point(e.off_ax, e.off_ay);
-        const point pb = e.var_b == invalid_var
-                             ? point(e.fixed_bx, e.fixed_by)
-                             : var_pos_[e.var_b] + point(e.off_bx, e.off_by);
-
-        const double base = e.weight * nl_.net_at(e.source_net).weight;
-        double wx = base;
-        double wy = base;
-        if (options_.linearize) {
-            wx = linear_weight(base, pa.x - pb.x, eps);
-            wy = linear_weight(base, pa.y - pb.y, eps);
-        }
-
-        if (e.var_a != invalid_var && e.var_b != invalid_var) {
-            vx[s.aa] += wx;
-            vx[s.bb] += wx;
-            vx[s.ab] -= wx;
-            vx[s.ba] -= wx;
-            vy[s.aa] += wy;
-            vy[s.bb] += wy;
-            vy[s.ab] -= wy;
-            vy[s.ba] -= wy;
-            const double dx = e.off_ax - e.off_bx;
-            const double dy = e.off_ay - e.off_by;
+    for (const edge& e : edges_) {
+        const auto [d, wx, wy] = stretch_of(e, var_pos_, eps);
+        if (e.var_a != edge::fixed && e.var_b != edge::fixed) {
+            vx[e.aa] += wx;
+            vx[e.bb] += wx;
+            vx[e.ab] -= wx;
+            vx[e.ba] -= wx;
+            vy[e.aa] += wy;
+            vy[e.bb] += wy;
+            vy[e.ab] -= wy;
+            vy[e.ba] -= wy;
+            const double dx = e.pin_a.x - e.pin_b.x;
+            const double dy = e.pin_a.y - e.pin_b.y;
             bx_[e.var_a] += wx * dx;
             bx_[e.var_b] -= wx * dx;
             by_[e.var_a] += wy * dy;
             by_[e.var_b] -= wy * dy;
         } else {
-            // Exactly one endpoint movable.
-            const bool a_movable = e.var_a != invalid_var;
-            const std::size_t v = a_movable ? e.var_a : e.var_b;
-            const double off_x = a_movable ? e.off_ax : e.off_bx;
-            const double off_y = a_movable ? e.off_ay : e.off_by;
-            const double fixed_x = a_movable ? e.fixed_bx : e.fixed_ax;
-            const double fixed_y = a_movable ? e.fixed_by : e.fixed_ay;
-            vx[s.aa] += wx;
-            vy[s.aa] += wy;
-            bx_[v] += wx * (off_x - fixed_x);
-            by_[v] += wy * (off_y - fixed_y);
+            // Exactly one endpoint movable: its offset against the fixed
+            // endpoint's absolute position.
+            const bool a_movable = e.var_a != edge::fixed;
+            const std::uint32_t v = a_movable ? e.var_a : e.var_b;
+            const point& off = a_movable ? e.pin_a : e.pin_b;
+            const point& fixed = a_movable ? e.pin_b : e.pin_a;
+            vx[e.aa] += wx;
+            vy[e.aa] += wy;
+            bx_[v] += wx * (off.x - fixed.x);
+            by_[v] += wy * (off.y - fixed.y);
         }
     }
 
@@ -409,24 +386,11 @@ double quadratic_system::objective(const placement& pl) const {
     std::vector<point> var_pos;
     compute_variable_positions(pl, var_pos);
 
-    const double eps =
-        options_.min_length_fraction * (nl_.region().width() + nl_.region().height());
+    const double eps = min_length();
     double acc = 0.0;
     for (const edge& e : edges_) {
-        const point pa = e.var_a == invalid_var
-                             ? point(e.fixed_ax, e.fixed_ay)
-                             : var_pos[e.var_a] + point(e.off_ax, e.off_ay);
-        const point pb = e.var_b == invalid_var
-                             ? point(e.fixed_bx, e.fixed_by)
-                             : var_pos[e.var_b] + point(e.off_bx, e.off_by);
-        const double base = e.weight * nl_.net_at(e.source_net).weight;
-        double wx = base;
-        double wy = base;
-        if (options_.linearize) {
-            wx = linear_weight(base, pa.x - pb.x, eps);
-            wy = linear_weight(base, pa.y - pb.y, eps);
-        }
-        acc += wx * (pa.x - pb.x) * (pa.x - pb.x) + wy * (pa.y - pb.y) * (pa.y - pb.y);
+        const auto [d, wx, wy] = stretch_of(e, var_pos, eps);
+        acc += wx * d.x * d.x + wy * d.y * d.y;
     }
     return acc;
 }
@@ -444,7 +408,7 @@ double quadratic_system::mean_stiffness() const {
     for (const edge& e : edges_) {
         const double w = e.weight * nl_.net_at(e.source_net).weight;
         const int movable_ends =
-            (e.var_a != invalid_var ? 1 : 0) + (e.var_b != invalid_var ? 1 : 0);
+            (e.var_a != edge::fixed ? 1 : 0) + (e.var_b != edge::fixed ? 1 : 0);
         acc += w * movable_ends;
     }
     return acc / static_cast<double>(num_vars_);

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -89,21 +90,35 @@ public:
     const net_model_options& options() const { return options_; }
 
 private:
+    /// One spring: two endpoints, the base weight and the four value
+    /// slots of its contributions to the shared x/y sparsity pattern.
     struct edge {
-        // Endpoint variable or fixed absolute coordinate.
-        std::size_t var_a; ///< invalid_var → fixed endpoint
-        std::size_t var_b;
-        double fixed_ax, fixed_ay; ///< absolute pin position when var_a fixed
-        double fixed_bx, fixed_by;
-        double off_ax, off_ay;     ///< pin offsets for movable endpoints
-        double off_bx, off_by;
-        double weight;             ///< base edge weight (before linearization)
+        static constexpr std::uint32_t fixed = std::numeric_limits<std::uint32_t>::max();
+        std::uint32_t var_a; ///< endpoint variable; `fixed` for a fixed cell
+        std::uint32_t var_b;
+        /// Pin offset when the endpoint is movable, absolute pin position
+        /// when it is fixed.
+        point pin_a, pin_b;
+        double weight; ///< base edge weight (before linearization)
         net_id source_net;
+        /// Slots of (a, a), (b, b), (a, b), (b, a); an edge with one
+        /// movable endpoint uses only aa, the diagonal of that endpoint.
+        std::uint32_t aa, bb, ab, ba;
     };
+    static_assert(sizeof(edge) <= 72, "edge record grew");
+
+    /// Endpoint difference pa − pb of an edge and its per-axis weights,
+    /// linearized when the options ask for it.
+    struct stretch {
+        point d;
+        double wx, wy;
+    };
+    stretch stretch_of(const edge& e, const std::vector<point>& var_pos, double eps) const;
+    /// Linearization clamp: shorter lengths count as this one.
+    double min_length() const;
 
     void collect_edges();
-    void add_edge_between_pins(const net& n, std::size_t pa, std::size_t pb,
-                               double weight, net_id ni);
+    void set_endpoint(const pin& p, std::uint32_t& var, point& at) const;
     void find_floating_variables();
     void build_symbolic();
     void compute_variable_positions(const placement& pl,
@@ -122,14 +137,7 @@ private:
     /// position would be decided by solver round-off.
     std::vector<char> floating_;
 
-    /// Symbolic cache: slots into the (shared x/y) sliced pattern. For a
-    /// two-movable edge all four of {aa, bb, ab, ba} are valid; for a
-    /// single-movable edge only aa (the movable endpoint's diagonal).
-    struct edge_slots {
-        std::size_t aa, bb, ab, ba;
-    };
-    std::vector<edge_slots> edge_slots_; ///< parallel to edges_
-    std::vector<std::size_t> diag_slot_; ///< per variable, slot of (v, v)
+    std::vector<std::uint32_t> diag_slot_; ///< per variable, slot of (v, v)
 
     sliced_matrix ax_, ay_; ///< one pattern, shared; values per axis
     std::vector<double> bx_, by_;

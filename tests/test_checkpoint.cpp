@@ -339,7 +339,6 @@ const digest_field kSteeringFields[] = {
     {"max_iterations", [](placer_options& o) { o.max_iterations = 13; }},
     {"density_bins", [](placer_options& o) { o.density_bins = 1024; }},
     {"spread_factor", [](placer_options& o) { o.spread_factor = 3.0; }},
-    {"empty_threshold", [](placer_options& o) { o.empty_threshold = 0.1; }},
     {"min_iterations", [](placer_options& o) { o.min_iterations = 3; }},
     {"plateau_window", [](placer_options& o) { o.plateau_window = 5; }},
     {"plateau_tolerance", [](placer_options& o) { o.plateau_tolerance = 1e-2; }},
@@ -349,8 +348,6 @@ const digest_field kSteeringFields[] = {
     {"net_model.kind", [](placer_options& o) { o.net_model.kind = net_model_kind::hybrid; }},
     {"net_model.star_threshold", [](placer_options& o) { o.net_model.star_threshold = 8; }},
     {"net_model.linearize", [](placer_options& o) { o.net_model.linearize = false; }},
-    {"net_model.min_length_fraction",
-     [](placer_options& o) { o.net_model.min_length_fraction = 1e-3; }},
 };
 
 const digest_field kObservingFields[] = {
@@ -387,14 +384,18 @@ TEST_F(CheckpointResume, CheckpointOfThePreviousStateTagIsRejected) {
     // changed every trajectory, to v3 when the warm-start displacements
     // left the payload, and to v4 when wire relaxation began reusing the
     // system assembled at the transformation's input (every trajectory
-    // moved again). 0x8beba8afae79e546, 0x42743c02dfdd34e7 and
-    // 0x672c420ff2a2838e are the digests the v1, v2 and v3 tags gave this
-    // very placer: a checkpoint stamped with any of them was written by an
-    // earlier build and must be refused by the digest check, not resumed
-    // onto a different trajectory or misread as a different payload layout.
+    // moved again), and to v5 when empty_threshold and
+    // net_model.min_length_fraction became constants and left the digest.
+    // 0x8beba8afae79e546, 0x42743c02dfdd34e7, 0x672c420ff2a2838e and
+    // 0x96adb8857abe6203 are the digests the v1, v2, v3 and v4 tags gave
+    // this very placer: a checkpoint stamped with any of them was written
+    // by an earlier build and must be refused by the digest check, not
+    // resumed onto a different trajectory or misread as a different
+    // payload layout.
     constexpr std::uint64_t kV1Digest = 0x8beba8afae79e546ull;
     constexpr std::uint64_t kV2Digest = 0x42743c02dfdd34e7ull;
     constexpr std::uint64_t kV3Digest = 0x672c420ff2a2838eull;
+    constexpr std::uint64_t kV4Digest = 0x96adb8857abe6203ull;
     const netlist nl = test_circuit(180, 38);
     placer_options opt = short_run_options();
     opt.checkpoint_path = path_;
@@ -405,7 +406,7 @@ TEST_F(CheckpointResume, CheckpointOfThePreviousStateTagIsRejected) {
     (void)writer.run();
     const checkpoint_blob blob = read_checkpoint_file(path_);
 
-    for (const std::uint64_t old_digest : {kV1Digest, kV2Digest, kV3Digest}) {
+    for (const std::uint64_t old_digest : {kV1Digest, kV2Digest, kV3Digest, kV4Digest}) {
         SCOPED_TRACE(old_digest);
         EXPECT_NE(writer.checkpoint_digest(), old_digest);
         // The same payload under the earlier digest.

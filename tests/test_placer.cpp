@@ -252,8 +252,7 @@ TEST(Placer, StoppingCriterionUsesPaperRule) {
     const placement pl = p.run();
     if (p.converged()) {
         const density_map d = compute_density(nl, pl, opt.density_bins);
-        EXPECT_TRUE(placement_is_spread(d, p.average_cell_area(), opt.spread_factor,
-                                        opt.empty_threshold));
+        EXPECT_TRUE(placement_is_spread(d, p.average_cell_area(), opt.spread_factor));
     }
 }
 

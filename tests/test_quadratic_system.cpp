@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <random>
+#include <string>
+#include <vector>
 
+#include "model/net_models.hpp"
 #include "model/quadratic_system.hpp"
 #include "netlist/generator.hpp"
 #include "util/check.hpp"
@@ -278,6 +284,246 @@ TEST(QuadraticSystem, ObjectiveDecreasesAtSolution) {
     sys.assemble(start);
     const placement solved = sys.solve(start, {}, {});
     EXPECT_LE(sys.objective(solved), sys.objective(start) + 1e-9);
+}
+
+/// Netlist for the assembly oracle: grounded movable cells 0..19, floating
+/// movable cells 20..24 (no net reaches a fixed cell from them), fixed
+/// blocks 25 and 26 and pads 27..30. Every pin but one pair sits off its
+/// cell center, nets carry weights other than 1, and one net joins two
+/// fixed cells only (a constant, so no edge).
+netlist oracle_netlist() {
+    netlist nl;
+    nl.set_region(rect(0, 0, 40, 30));
+    for (int i = 0; i < 25; ++i) {
+        cell c;
+        c.name = "m" + std::to_string(i);
+        c.width = 2.0;
+        nl.add_cell(c);
+    }
+    const auto add_fixed = [&](cell_kind kind, point at) {
+        cell c;
+        c.name = "f" + std::to_string(nl.num_cells());
+        c.kind = kind;
+        c.fixed = true;
+        c.position = at;
+        c.width = kind == cell_kind::block ? 4.0 : 1.0;
+        nl.add_cell(c);
+    };
+    add_fixed(cell_kind::block, point(10, 20));
+    add_fixed(cell_kind::block, point(30, 8));
+    add_fixed(cell_kind::pad, point(0, 12));
+    add_fixed(cell_kind::pad, point(40, 17));
+    add_fixed(cell_kind::pad, point(22, 0));
+    add_fixed(cell_kind::pad, point(15, 30));
+
+    std::mt19937 rng(19);
+    std::uniform_real_distribution<double> offset(-1.0, 1.0);
+    const auto add_net = [&](const std::vector<cell_id>& cells, double weight) {
+        net n;
+        n.name = "n" + std::to_string(nl.num_nets());
+        n.weight = weight;
+        for (const cell_id c : cells) n.pins.push_back({c, point(offset(rng), offset(rng))});
+        nl.add_net(std::move(n));
+    };
+    std::uniform_int_distribution<cell_id> grounded(0, 19);
+    std::uniform_int_distribution<cell_id> fixed_cell(25, 30);
+    for (std::size_t k = 0; k < 30; ++k) {
+        std::vector<cell_id> cells;
+        while (cells.size() < 2 + k % 6) {
+            const cell_id c = cells.size() % 3 == 2 ? fixed_cell(rng) : grounded(rng);
+            if (std::find(cells.begin(), cells.end(), c) == cells.end()) cells.push_back(c);
+        }
+        add_net(cells, 0.5 + 0.25 * static_cast<double>(k % 5));
+    }
+    add_net({25, 27}, 1.0);
+    add_net({20, 21}, 1.0);
+    add_net({21, 22, 23}, 2.0);
+    add_net({20, 21, 22, 23, 24}, 1.5);
+    // Coincident pins (the placement stacks cells 0 and 1): the
+    // linearization clamp decides this weight.
+    net stacked;
+    stacked.name = "stacked";
+    stacked.pins = {{0, {}}, {1, {}}};
+    nl.add_net(std::move(stacked));
+    return nl;
+}
+
+/// Dense C and d of A p + b = 0 for one axis, with the sum of the
+/// magnitudes of every term each entry received (the scale of its
+/// rounding error).
+struct reference_axis {
+    std::vector<double> c, c_scale, d, d_scale;
+};
+
+/// Assembly straight from the netlist pins: every pin pair (clique) or
+/// pin-center pair (star) is a spring w·(pa − pb)², pa the pin's position
+/// with p the variable's position for a movable cell, the constant
+/// pin position for a fixed one.
+std::pair<reference_axis, reference_axis> reference_assembly(
+    const netlist& nl, const quadratic_system& sys, const net_model_options& opt,
+    const placement& pl) {
+    const std::size_t n = sys.num_vars();
+    reference_axis rx{std::vector<double>(n * n, 0.0), std::vector<double>(n * n, 0.0),
+                      std::vector<double>(n, 0.0), std::vector<double>(n, 0.0)};
+    reference_axis ry = rx;
+    const double eps = 1e-4 * (nl.region().width() + nl.region().height());
+
+    struct end {
+        std::size_t var; ///< invalid_var for a fixed pin
+        point at;        ///< current absolute pin position
+        point constant;  ///< offset from the variable, or the fixed position
+    };
+    const auto pin_end = [&](const pin& p) {
+        const cell& c = nl.cell_at(p.cell);
+        if (c.fixed) return end{invalid_var, c.position + p.offset, c.position + p.offset};
+        return end{sys.var_of(p.cell), pl[p.cell] + p.offset, p.offset};
+    };
+    const auto add = [&](reference_axis& r, const end& a, const end& b, double w,
+                         double ca, double cb) {
+        const auto stamp = [&](std::size_t i, std::size_t j, double v) {
+            r.c[i * n + j] += v;
+            r.c_scale[i * n + j] += std::abs(v);
+        };
+        const auto rhs = [&](std::size_t i, double v) {
+            r.d[i] += v;
+            r.d_scale[i] += std::abs(v);
+        };
+        if (a.var != invalid_var) {
+            stamp(a.var, a.var, w);
+            rhs(a.var, w * (ca - cb));
+        }
+        if (b.var != invalid_var) {
+            stamp(b.var, b.var, w);
+            rhs(b.var, w * (cb - ca));
+        }
+        if (a.var != invalid_var && b.var != invalid_var) {
+            stamp(a.var, b.var, -w);
+            stamp(b.var, a.var, -w);
+        }
+    };
+    const auto spring = [&](const end& a, const end& b, double base) {
+        if (a.var == invalid_var && b.var == invalid_var) return;
+        const double wx =
+            opt.linearize ? base / std::max(eps, std::abs(a.at.x - b.at.x)) : base;
+        const double wy =
+            opt.linearize ? base / std::max(eps, std::abs(a.at.y - b.at.y)) : base;
+        add(rx, a, b, wx, a.constant.x, b.constant.x);
+        add(ry, a, b, wy, a.constant.y, b.constant.y);
+    };
+
+    // Floating components: union the movable cells of every net, ground
+    // those a net also joins to a fixed pin.
+    std::vector<cell_id> root(nl.num_cells());
+    std::iota(root.begin(), root.end(), cell_id{0});
+    const auto find = [&](cell_id c) {
+        while (root[c] != c) c = root[c];
+        return c;
+    };
+    std::vector<char> grounded(nl.num_cells(), 0);
+    double stiffness = 0.0;
+    std::size_t star_var = sys.num_movable();
+    for (const net& nt : nl.nets()) {
+        const std::size_t k = nt.degree();
+        if (k < 2) continue;
+        std::vector<end> ends;
+        for (const pin& p : nt.pins) ends.push_back(pin_end(p));
+        const bool has_fixed = std::any_of(ends.begin(), ends.end(),
+                                           [](const end& e) { return e.var == invalid_var; });
+        cell_id first_movable = invalid_cell;
+        for (const pin& p : nt.pins) {
+            if (nl.cell_at(p.cell).fixed) continue;
+            if (first_movable == invalid_cell) first_movable = p.cell;
+            root[find(p.cell)] = find(first_movable);
+            if (has_fixed) grounded[p.cell] = 1;
+        }
+        if (first_movable != invalid_cell) {
+            stiffness += 2.0 * nt.weight * static_cast<double>(k - 1);
+        }
+
+        if (use_star_model(opt, k)) {
+            point centroid;
+            for (const end& e : ends) centroid += e.at;
+            centroid *= 1.0 / static_cast<double>(k);
+            const end center{star_var++, centroid, point()};
+            for (const end& e : ends) spring(e, center, nt.weight);
+        } else {
+            for (std::size_t a = 0; a < k; ++a) {
+                for (std::size_t b = a + 1; b < k; ++b) {
+                    spring(ends[a], ends[b], nt.weight / static_cast<double>(k));
+                }
+            }
+        }
+    }
+    EXPECT_EQ(star_var, n);
+
+    std::vector<char> root_grounded(nl.num_cells(), 0);
+    for (cell_id c = 0; c < nl.num_cells(); ++c) {
+        if (grounded[c]) root_grounded[find(c)] = 1;
+    }
+    const double anchor = 1e-3 * std::max(1e-9, stiffness / static_cast<double>(
+                                                                sys.num_movable()));
+    const point middle = nl.region().center();
+    std::size_t num_floating = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+        const bool floating =
+            v < sys.num_movable() && !root_grounded[find(sys.cell_of_var(v))];
+        num_floating += floating ? 1 : 0;
+        const double w = floating ? anchor : 1e-9;
+        for (reference_axis* r : {&rx, &ry}) {
+            r->c[v * n + v] += w;
+            r->c_scale[v * n + v] += w;
+        }
+        if (floating) {
+            rx.d[v] -= anchor * middle.x;
+            rx.d_scale[v] += std::abs(anchor * middle.x);
+            ry.d[v] -= anchor * middle.y;
+            ry.d_scale[v] += std::abs(anchor * middle.y);
+        }
+    }
+    EXPECT_EQ(num_floating, 5u);
+    return {rx, ry};
+}
+
+TEST(QuadraticSystem, AssemblyMatchesPinPairReference) {
+    netlist nl = oracle_netlist();
+    placement pl = nl.initial_placement();
+    std::mt19937 rng(7);
+    std::uniform_real_distribution<double> ux(2.0, 38.0);
+    std::uniform_real_distribution<double> uy(2.0, 28.0);
+    for (cell_id c = 0; c < nl.num_cells(); ++c) {
+        if (!nl.cell_at(c).fixed) pl[c] = point(ux(rng), uy(rng));
+    }
+    pl[1] = pl[0];
+
+    for (const net_model_kind kind :
+         {net_model_kind::clique, net_model_kind::star, net_model_kind::hybrid}) {
+        for (const bool linearize : {true, false}) {
+            SCOPED_TRACE(testing::Message() << "kind " << static_cast<int>(kind)
+                                            << " linearize " << linearize);
+            net_model_options opt;
+            opt.kind = kind;
+            opt.star_threshold = 4;
+            opt.linearize = linearize;
+            quadratic_system sys(nl, opt);
+            sys.assemble(pl);
+            if (kind != net_model_kind::clique) EXPECT_GT(sys.num_vars(), sys.num_movable());
+
+            const auto [rx, ry] = reference_assembly(nl, sys, opt, pl);
+            const std::size_t n = sys.num_vars();
+            const auto check = [&](const sliced_matrix& a, const std::vector<double>& b,
+                                   const reference_axis& r, const char* axis) {
+                for (std::size_t i = 0; i < n; ++i) {
+                    for (std::size_t j = 0; j < n; ++j) {
+                        EXPECT_NEAR(a.at(i, j), r.c[i * n + j], 1e-12 * r.c_scale[i * n + j])
+                            << axis << " C(" << i << ", " << j << ")";
+                    }
+                    EXPECT_NEAR(b[i], r.d[i], 1e-12 * r.d_scale[i]) << axis << " d(" << i << ")";
+                }
+            };
+            check(sys.matrix_x(), sys.rhs_x(), rx, "x");
+            check(sys.matrix_y(), sys.rhs_y(), ry, "y");
+        }
+    }
 }
 
 TEST(QuadraticSystem, MeanStiffnessPositive) {

@@ -64,6 +64,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "gpf.hpp"
 #include "report/svg.hpp"
 
@@ -363,6 +365,14 @@ gpf::netlist load_circuit(const cli_options& opt) {
     return gpf::generate_circuit(gen);
 }
 
+/// Peak resident set of this process so far, in MiB (ru_maxrss is KiB on
+/// Linux).
+double peak_rss_mib() {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -474,8 +484,8 @@ int main(int argc, char** argv) {
                                                    : gpf::row_legalizer::abacus;
         gpf::placement legal;
         const gpf::legalize_result lr = gpf::legalize(nl, global, legal, lopt);
-        std::printf("legalized HPWL %.1f (refined %.1f) in %.2fs total\n",
-                    lr.hpwl_legal, lr.hpwl_refined, sw.elapsed_seconds());
+        std::printf("legalized HPWL %.1f (refined %.1f) in %.2fs total, peak RSS %.1f MiB\n",
+                    lr.hpwl_legal, lr.hpwl_refined, sw.elapsed_seconds(), peak_rss_mib());
 
         gpf::write_bookshelf(nl, legal, cli.out);
         gpf::write_placement_svg(nl, legal, cli.out + ".svg");
